@@ -201,7 +201,8 @@ type Config struct {
 	// Incremental routes matchmaking through the delta-subscription
 	// path: the broker mirrors the registry by polling per-shard
 	// epoch deltas (infosys.DeltaSource, which Info must implement)
-	// and keeps standing per-job rank trees repaired only for sites
+	// and keeps a standing rank tree per job awaiting a match (first
+	// submission, Pending retry, resubmission) repaired only for sites
 	// named in arriving deltas, so pass cost is proportional to churn
 	// instead of grid size. TopK and the probe/rank pipeline behave
 	// exactly as on the streamed path.
@@ -451,12 +452,13 @@ type Broker struct {
 	// registry-wide scan was the dominant per-job cost on large
 	// grids, and the lazy busy-eviction walk that replaced it still
 	// paid a pointer-chasing Free() check per entry.
-	// freeSet is the membership index; freeScratch and reqMemo are
-	// per-call scratch storage for freeAgentsMatching.
+	// freeSet is the membership index; freeScratch, reqMemo and
+	// attrScratch are per-call scratch storage for freeAgentsMatching.
 	freeAgents  []agentEntry
 	freeSet     map[*glidein.Agent]bool
 	freeScratch []*glidein.Agent
 	reqMemo     map[*site.Site]bool
+	attrScratch map[string]any
 	taskPool    [][]probeTask // recycled matchmaking scratch, see getTasks
 
 	// lastSnap keeps the previous discovery snapshot when running
@@ -763,9 +765,7 @@ func (b *Broker) fail(h *Handle, err error) {
 		kind = trace.Aborted
 	}
 	b.cfg.Trace.Emit(trace.Event{Kind: kind, Job: h.ID, Site: h.site, Attempt: h.resub, Detail: err.Error()})
-	if b.sub != nil {
-		b.sub.drop(h.request.Job)
-	}
+	b.releaseMatch(h)
 	h.Done.Fire()
 }
 
@@ -776,11 +776,27 @@ func (b *Broker) finish(h *Handle) {
 	h.state = Done
 	h.finishedAt = b.sim.Now()
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.Done, Job: h.ID, Site: h.site, Attempt: h.resub})
+	b.releaseMatch(h)
+	h.Done.Fire()
+	b.kickDispatch()
+}
+
+// emitMatched records the commitment of h to a site (or to glide-in
+// agents) and releases the job's standing match state: no pass reads
+// the tree while the job is queued or running, and a job that
+// re-enters matching (retry, eviction, lost agent, failed launch)
+// rebuilds it from the mirror in subscriber.state. Every flow that
+// emits Matched goes through here, in both engines.
+func (b *Broker) emitMatched(h *Handle, ev trace.Event) {
+	b.cfg.Trace.Emit(ev)
+	b.releaseMatch(h)
+}
+
+// releaseMatch drops h's standing rank tree on the incremental path.
+func (b *Broker) releaseMatch(h *Handle) {
 	if b.sub != nil {
 		b.sub.drop(h.request.Job)
 	}
-	h.Done.Fire()
-	b.kickDispatch()
 }
 
 // matchedEvent builds a Matched trace event for h's current attempt.

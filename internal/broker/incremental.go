@@ -3,10 +3,16 @@ package broker
 // Incremental matchmaking over delta subscriptions: instead of
 // re-scanning the registry every pass (whole snapshot or paged
 // stream), the broker mirrors the registry once and repairs it — and a
-// standing rank tree per queued job — only for sites named in arriving
-// deltas. A pass then costs one poll round trip plus work proportional
-// to churn, not grid size, which is the scaling contrast the scale
-// experiment's churn axis measures.
+// standing rank tree per job awaiting a match — only for sites named
+// in arriving deltas. A pass then costs one poll round trip plus work
+// proportional to churn, not grid size, which is the scaling contrast
+// the scale experiment's churn axis measures.
+//
+// A tree stands only while its job waits for a site: it is built on
+// the job's first pass, kept (and repaired) while the job retries
+// Pending, and released when a flow commits the job to a site or to
+// glide-in agents (Broker.emitMatched) or the job ends. A job that
+// re-enters matching after an eviction rebuilds it from the mirror.
 //
 // Equivalence with the reference whole-snapshot pass is structural:
 //
@@ -61,7 +67,8 @@ type standNode struct {
 	ent         *mirrorEntry
 }
 
-// jobState is one queued job's standing matchmaking state.
+// jobState is the standing matchmaking state of one job awaiting a
+// match; it is dropped when the job is placed or ends.
 type jobState struct {
 	job   *jdl.Job
 	root  *standNode
@@ -70,8 +77,8 @@ type jobState struct {
 
 // subscriber is the broker's delta-subscription mirror of the
 // registry: per-shard epoch positions, the record mirror, and a
-// standing rank tree per queued job, all repaired in place as deltas
-// arrive.
+// standing rank tree per job awaiting a match, all repaired in place
+// as deltas arrive.
 type subscriber struct {
 	b       *Broker
 	src     infosys.DeltaSource
@@ -251,7 +258,9 @@ func (s *subscriber) rebuildSchema(sc *infosys.Schema) {
 	}
 }
 
-// state returns (building on first use) the standing tree for a job.
+// state returns the standing tree for a job, building it from the
+// mirror on the job's first pass and again on each pass after the job
+// was placed and released it.
 func (s *subscriber) state(job *jdl.Job) *jobState {
 	js := s.jobs[job]
 	if js == nil {
@@ -264,7 +273,7 @@ func (s *subscriber) state(job *jdl.Job) *jobState {
 	return js
 }
 
-// drop releases a job's standing state (terminal event).
+// drop releases a job's standing state (placement or terminal event).
 func (s *subscriber) drop(job *jdl.Job) { delete(s.jobs, job) }
 
 // update re-evaluates one site against the job's predicates and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
 	"crossbroker/internal/site"
+	"crossbroker/internal/trace"
 )
 
 // deltaGrid is equivGrid with the information service exposed, so
@@ -257,12 +259,7 @@ Rank         = other.MemoryMB + other.Preferred;
 				t.Fatalf("trial %d step %d: mirror holds %d records, registry %d", trial, step, len(s.mirror), snap.Len())
 			}
 			for _, job := range jobs {
-				js := s.jobs[job]
-				var got []string
-				walkTree(js.root, func(n *standNode) bool {
-					got = append(got, fmt.Sprintf("%s:%g", n.name, n.prelim))
-					return true
-				})
+				got := standingLines(s.jobs[job])
 				want := recomputeStanding(t, job, snap)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d step %d: tree has %d sites, recompute %d\n tree: %v\n want: %v",
@@ -330,52 +327,279 @@ func mustParseJob(t *testing.T, src string) *jdl.Job {
 	return job
 }
 
-// TestIncrementalRunsMatchSnapshotRuns replays the whole scheduling
-// scenario of TestStreamedRunsMatchSnapshotRuns on identically seeded
-// grids differing only in matchmaking path: every job must land on the
-// same site with the same resubmission count whether matched from
-// snapshots, delta subscriptions, or the log-less re-pin fallback.
+// TestIncrementalRunsMatchSnapshotRuns replays whole scheduling
+// scenarios on identically seeded grids differing only in matchmaking
+// path: every job must land on the same site with the same
+// resubmission count and end state, and the ordered Matched events
+// must agree, whether matched from snapshots, delta subscriptions, or
+// the log-less re-pin fallback. Beyond plain placement, the cells
+// evict placed jobs with site crashes and overfill a small grid so a
+// job retries Pending — the paths where a released standing tree is
+// rebuilt on re-entry to matching. Those two cells space their
+// evictions and retries so no two match passes overlap: the
+// subscriber serializes concurrent polls and the snapshot pass does
+// not, so several evictions or Pending retries at one instant shift
+// virtual time between the paths, which is outside this contract.
 func TestIncrementalRunsMatchSnapshotRuns(t *testing.T) {
-	type outcome struct{ sites, states string }
-	scenario := func(cfg Config, depth int) outcome {
-		g := newGrid(t, 8, 1, cfg)
-		g.info.SetDeltaLog(depth)
-		var hs []*Handle
-		for i := 0; i < 6; i++ {
-			h, err := g.b.Submit(interactiveJob(jdl.ExclusiveAccess, 0, 1))
-			if err != nil {
-				t.Fatal(err)
+	rankedBatch := func(cpu time.Duration) Request {
+		job := mustParseJob(t, `
+Executable = "bapp";
+Rank       = other.FreeCPUs - other.QueuedJobs;
+`)
+		return Request{Job: job, User: "batchuser", CPU: cpu}
+	}
+	type outcome struct{ sites, states, matched string }
+	for _, cell := range []struct {
+		name          string
+		nSites, nodes int
+		drive         func(g *grid, submit func(Request)) // submits and runs
+		check         func(t *testing.T, ref outcome)     // the cell exercises its path
+	}{
+		{"placed", 8, 1, func(g *grid, submit func(Request)) {
+			for i := 0; i < 6; i++ {
+				submit(interactiveJob(jdl.ExclusiveAccess, 0, 1))
+				g.sim.RunFor(time.Second)
 			}
-			hs = append(hs, h)
-			g.sim.RunFor(time.Second)
+			for i := 0; i < 3; i++ {
+				submit(batchJob(30 * time.Second))
+			}
+			g.sim.RunFor(30 * time.Minute)
+		}, nil},
+		{"site-crashes", 4, 1, func(g *grid, submit func(Request)) {
+			// One job per site, then two crashes a quarter of an
+			// hour apart, each evicting one running job.
+			for i := 0; i < 3; i++ {
+				submit(rankedBatch(40 * time.Minute))
+				g.sim.RunFor(time.Minute)
+			}
+			for i, at := range []time.Duration{5 * time.Minute, 20 * time.Minute} {
+				st := g.sites[i]
+				g.sim.AfterFunc(at, st.Crash)
+				g.sim.AfterFunc(at+time.Minute, st.Restart)
+			}
+			g.sim.RunFor(3 * time.Hour)
+		}, func(t *testing.T, ref outcome) {
+			if n := strings.Count(ref.matched, "/1 "); n != 2 {
+				t.Fatalf("%d jobs resubmitted after the two crashes, want 2: %s", n, ref.matched)
+			}
+		}},
+		{"pending-retries", 2, 1, func(g *grid, submit func(Request)) {
+			// Six jobs fill both nodes and all four queue slots; the
+			// seventh waits Pending and matches only on a retry.
+			for i := 0; i < 7; i++ {
+				submit(rankedBatch(10 * time.Minute))
+				g.sim.RunFor(time.Minute)
+			}
+			if n := len(g.b.pendingBatch); n != 1 {
+				t.Fatalf("%d jobs Pending on the full grid, want 1", n)
+			}
+			g.sim.RunFor(3 * time.Hour)
+		}, nil},
+	} {
+		scenario := func(cfg Config, depth int) outcome {
+			g, tr := tracedGrid(t, cell.nSites, cell.nodes, cfg)
+			g.info.SetDeltaLog(depth)
+			var hs []*Handle
+			cell.drive(g, func(req Request) {
+				h, err := g.b.Submit(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs = append(hs, h)
+			})
+			var o outcome
+			for _, h := range hs {
+				o.sites += fmt.Sprintf("%s/%d ", h.Site(), h.Resubmissions())
+				o.states += h.State().String() + " "
+			}
+			for _, e := range tr.Events() {
+				if e.Kind == trace.Matched {
+					o.matched += fmt.Sprintf("%s@%s/%d ", e.Job, e.Site, e.Attempt)
+				}
+			}
+			return o
 		}
+		t.Run(cell.name, func(t *testing.T) {
+			ref := scenario(Config{Seed: 99, PageSize: -1}, 0)
+			if cell.check != nil {
+				cell.check(t, ref)
+			}
+			for _, tc := range []struct {
+				name  string
+				depth int
+			}{
+				{"incremental/depth=64", 64},
+				{"incremental/depth=0", 0}, // every poll re-pins
+			} {
+				if got := scenario(Config{Seed: 99, Incremental: true}, tc.depth); got != ref {
+					t.Fatalf("%s diverged from the whole-snapshot run:\n  incremental: %+v\n  reference:   %+v",
+						tc.name, got, ref)
+				}
+			}
+		})
+	}
+}
+
+// standingLines renders a standing tree in walk order, in
+// recomputeStanding's format.
+func standingLines(js *jobState) []string {
+	var out []string
+	walkTree(js.root, func(n *standNode) bool {
+		out = append(out, fmt.Sprintf("%s:%g", n.name, n.prelim))
+		return true
+	})
+	return out
+}
+
+// lifetimeGrid is a small incremental grid whose registry moves only
+// when the test publishes: three one-node i686 sites with one queue
+// slot each, so six jobs fill them, plus a ppc site the test jobs'
+// Requirements reject.
+func lifetimeGrid(t *testing.T) (*simclock.Sim, *Broker, *infosys.Service, []*site.Site) {
+	t.Helper()
+	sim := simclock.NewSim(time.Time{})
+	info := infosys.NewSharded(sim, 500*time.Millisecond, 2)
+	info.SetDeltaLog(64)
+	b := New(Config{Sim: sim, Info: info, Seed: 5, Incremental: true, TopK: 4})
+	var sites []*site.Site
+	for i := 0; i < 4; i++ {
+		arch := "i686"
+		if i == 3 {
+			arch = "ppc"
+		}
+		st := site.New(sim, site.Config{
+			Name:            fmt.Sprintf("site%02d", i),
+			Nodes:           1,
+			QueueSlots:      1,
+			Network:         netsim.CampusGrid(),
+			Costs:           site.DefaultCosts(),
+			PublishInterval: 10000 * time.Hour,
+			Attrs:           map[string]any{"Arch": arch, "OS": "linux", "MemoryMB": 512, "Preferred": 1 + i},
+		})
+		b.RegisterSite(st)
+		sites = append(sites, st)
+	}
+	sim.RunFor(time.Second)
+	return sim, b, info, sites
+}
+
+// TestStandingTreeLifetime pins when a job holds a standing tree: not
+// while it is queued or running at a site, but while it is parked
+// Pending on a full grid — where deltas keep repairing it — and again
+// after an eviction sends it back to matching, when the tree is
+// rebuilt from the mirror. Every held tree must equal an independent
+// recompute from the registry.
+func TestStandingTreeLifetime(t *testing.T) {
+	sim, b, info, sites := lifetimeGrid(t)
+	s := b.sub
+	submit := func() *Handle {
+		t.Helper()
+		job := mustParseJob(t, `
+Executable   = "bapp";
+Requirements = other.Arch == "i686";
+Rank         = other.Preferred;
+`)
+		h, err := b.Submit(Request{Job: job, User: "u", CPU: 10 * time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	// burst republishes every i686 site with moved ranks and one
+	// requirement flip, and drops the ppc site from the registry.
+	burst := func(round int) {
+		t.Helper()
 		for i := 0; i < 3; i++ {
-			h, err := g.b.Submit(batchJob(30 * time.Second))
-			if err != nil {
+			arch := "i686"
+			if i == round%3 {
+				arch = "ppc"
+			}
+			if err := info.Publish(infosys.SiteRecord{
+				Name: fmt.Sprintf("site%02d", i), TotalCPUs: 1, FreeCPUs: round % 2,
+				Attrs: map[string]any{"Arch": arch, "OS": "linux", "MemoryMB": 512, "Preferred": 1 + (i+round)%3},
+			}); err != nil {
 				t.Fatal(err)
 			}
-			hs = append(hs, h)
 		}
-		g.sim.RunFor(30 * time.Minute)
-		var o outcome
-		for _, h := range hs {
-			o.sites += fmt.Sprintf("%s/%d ", h.Site(), h.Resubmissions())
-			o.states += h.State().String() + " "
+		info.Remove("site03")
+	}
+	// check polls the mirror up to date and compares each job's tree
+	// with a recompute from the registry at that instant.
+	check := func(when string, hs []*Handle) {
+		t.Helper()
+		var snap *infosys.Snapshot
+		trees := make([][]string, len(hs))
+		held := make([]bool, len(hs))
+		done := false
+		sim.Go(func() {
+			s.poll(nil)
+			snap = info.SnapshotImmediate()
+			for i, h := range hs {
+				if js := s.jobs[h.request.Job]; js != nil {
+					trees[i], held[i] = standingLines(js), true
+				}
+			}
+			done = true
+		})
+		sim.RunFor(time.Second)
+		if !done {
+			t.Fatalf("%s: poll did not complete", when)
 		}
-		return o
+		for i, h := range hs {
+			if !held[i] {
+				t.Fatalf("%s: job %s (state %v) holds no standing tree", when, h.ID, h.State())
+			}
+			want := recomputeStanding(t, h.request.Job, snap)
+			if fmt.Sprint(trees[i]) != fmt.Sprint(want) {
+				t.Fatalf("%s: job %s tree %v, recompute %v", when, h.ID, trees[i], want)
+			}
+		}
 	}
 
-	ref := scenario(Config{Seed: 99, PageSize: -1}, 0)
-	for _, tc := range []struct {
-		name  string
-		depth int
-	}{
-		{"incremental/depth=64", 64},
-		{"incremental/depth=0", 0}, // every poll re-pins
-	} {
-		if got := scenario(Config{Seed: 99, Incremental: true}, tc.depth); got != ref {
-			t.Fatalf("%s diverged from the whole-snapshot run:\n  incremental: %+v\n  reference:   %+v",
-				tc.name, got, ref)
+	var placed []*Handle
+	for i := 0; i < 6; i++ {
+		placed = append(placed, submit())
+		sim.RunFor(time.Minute) // let the launch land before the next probe
+	}
+	for _, h := range placed {
+		if st := h.State(); st != Submitted && st != Running {
+			t.Fatalf("job %s is %v, want queued or running at a site", h.ID, st)
 		}
 	}
+	if n := len(s.jobs); n != 0 {
+		t.Fatalf("%d standing trees with every job placed, want 0", n)
+	}
+
+	waiting := submit()
+	sim.RunFor(time.Minute)
+	if waiting.State() != Pending {
+		t.Fatalf("overflow job is %v, want Pending on the full grid", waiting.State())
+	}
+	check("pending", []*Handle{waiting})
+	burst(1)
+	check("pending after a publish burst", []*Handle{waiting})
+
+	// Evict the jobs on one site: they re-enter matching, find the
+	// grid still full and park Pending beside the overflow job.
+	for _, st := range sites {
+		if st.Name() == placed[0].Site() {
+			st.Crash()
+		}
+	}
+	sim.RunFor(2 * time.Minute)
+	evicted := []*Handle{waiting}
+	for _, h := range placed {
+		if h.Resubmissions() > 0 {
+			if h.State() != Pending {
+				t.Fatalf("evicted job %s is %v, want Pending", h.ID, h.State())
+			}
+			evicted = append(evicted, h)
+		}
+	}
+	if len(evicted) == 1 {
+		t.Fatal("the crash evicted no job")
+	}
+	check("rebuilt after eviction", evicted)
+	burst(2)
+	check("rebuilt after eviction and a publish burst", evicted)
 }

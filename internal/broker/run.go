@@ -151,7 +151,7 @@ func (b *Broker) runBatch(h *Handle) {
 	}
 
 	st := chosen.site
-	b.cfg.Trace.Emit(b.matchedEvent(h, st.Name(), chosen.rank))
+	b.emitMatched(h, b.matchedEvent(h, st.Name(), chosen.rank))
 	b.lease(h, st.Name(), job.NodeNumber)
 	h.state = Submitted
 	h.site = st.Name()
@@ -340,7 +340,7 @@ func (b *Broker) runInteractiveExclusive(h *Handle) {
 			break
 		}
 		anyFree = true
-		b.cfg.Trace.Emit(b.matchedEvent(h, chosen.site.Name(), chosen.rank))
+		b.emitMatched(h, b.matchedEvent(h, chosen.site.Name(), chosen.rank))
 		if b.runExclusiveAttempt(h, chosen.site) {
 			return
 		}
@@ -616,7 +616,8 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 // seeded shuffle). It reuses a scratch result buffer: the returned
 // slice is only valid until the next call, which is fine because
 // callers consume it before yielding to the simulation.
-// Requirements are evaluated once per distinct site, not per agent.
+// Requirements are evaluated once per distinct site, not per agent,
+// against one reused attribute map (attrScratch).
 // need caps how many leading agents the caller will consume, so only
 // that prefix is randomized (a partial Fisher-Yates draws each prefix
 // element uniformly from the whole match set, exactly as a full
@@ -630,12 +631,14 @@ func (b *Broker) freeAgentsMatching(job *jdl.Job, need int) []*glidein.Agent {
 	} else {
 		if b.reqMemo == nil {
 			b.reqMemo = make(map[*site.Site]bool)
+			b.attrScratch = make(map[string]any)
 		}
 		clear(b.reqMemo)
 		for _, e := range b.freeAgents {
 			ok, seen := b.reqMemo[e.site]
 			if !seen {
-				v, err := job.Requirements.EvalBool(e.site.Record().MatchAttrs())
+				e.site.Record().FillMatchAttrs(b.attrScratch)
+				v, err := job.Requirements.EvalBool(b.attrScratch)
 				ok = err == nil && v
 				b.reqMemo[e.site] = ok
 			}
@@ -680,7 +683,7 @@ func (b *Broker) placeOnAgents(h *Handle, agents []*glidein.Agent) bool {
 		h.site = "agents"
 	}
 	h.shared = true
-	b.cfg.Trace.Emit(trace.Event{Kind: trace.Matched, Job: h.ID, Site: h.site, N: len(agents), Attempt: h.resub})
+	b.emitMatched(h, trace.Event{Kind: trace.Matched, Job: h.ID, Site: h.site, N: len(agents), Attempt: h.resub})
 
 	// The broker still stages input files to the VM, dispatches the
 	// job over its direct agent channel, and the agent sets it up on

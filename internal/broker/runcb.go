@@ -511,7 +511,7 @@ func (b *Broker) runBatchCB(h *Handle) {
 		}
 
 		st := chosen.site
-		b.cfg.Trace.Emit(b.matchedEvent(h, st.Name(), chosen.rank))
+		b.emitMatched(h, b.matchedEvent(h, st.Name(), chosen.rank))
 		b.lease(h, st.Name(), job.NodeNumber)
 		h.state = Submitted
 		h.site = st.Name()
@@ -752,7 +752,7 @@ func (b *Broker) runInteractiveExclusiveCB(h *Handle) {
 				}
 				if chosen != nil {
 					anyFree = true
-					b.cfg.Trace.Emit(b.matchedEvent(h, chosen.site.Name(), chosen.rank))
+					b.emitMatched(h, b.matchedEvent(h, chosen.site.Name(), chosen.rank))
 					b.runExclusiveAttemptCB(h, chosen.site, func(terminal bool) {
 						if terminal {
 							return
@@ -994,7 +994,7 @@ func (b *Broker) placeOnAgentsCB(h *Handle, agents []*glidein.Agent, cont func(t
 		h.site = "agents"
 	}
 	h.shared = true
-	b.cfg.Trace.Emit(trace.Event{Kind: trace.Matched, Job: h.ID, Site: h.site, N: len(agents), Attempt: h.resub})
+	b.emitMatched(h, trace.Event{Kind: trace.Matched, Job: h.ID, Site: h.site, N: len(agents), Attempt: h.resub})
 
 	// Catalog datasets move first, then the direct agent-channel
 	// dispatch (gatekeeper, GRAM and the local queue skipped entirely).

@@ -82,13 +82,20 @@ func (r SiteRecord) Clone() SiteRecord {
 // recycles flat vectors through a pool.
 func (r SiteRecord) MatchAttrs() map[string]any {
 	m := make(map[string]any, len(r.Attrs)+3)
+	r.FillMatchAttrs(m)
+	return m
+}
+
+// FillMatchAttrs clears m and writes the MatchAttrs set into it, so a
+// caller evaluating many records can reuse one map.
+func (r SiteRecord) FillMatchAttrs(m map[string]any) {
+	clear(m)
 	for k, v := range r.Attrs {
 		m[k] = v
 	}
 	m["TotalCPUs"] = r.TotalCPUs
 	m["FreeCPUs"] = r.FreeCPUs
 	m["QueuedJobs"] = r.QueuedJobs
-	return m
 }
 
 // The dynamic attribute names present in every schema.
