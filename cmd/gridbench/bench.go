@@ -130,7 +130,7 @@ func bench(out, baseline string, tolerance float64) error {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sim.Go(func() { br.SelectionPass(job) })
+					sim.Post(func() { br.SelectionPassStatsAsync(job, func(broker.PassStats) {}) })
 					sim.RunFor(time.Hour)
 				}
 			})

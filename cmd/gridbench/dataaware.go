@@ -26,9 +26,9 @@ type dataawareReport struct {
 // turnaround strictly better on every cell), renders the table, and
 // optionally gates against a committed baseline. Deterministic for a
 // fixed seed: two runs produce byte-identical reports.
-func dataaware(out, baseline string, quick bool, seed int64, tolerance float64, engine string) error {
+func dataaware(out, baseline string, quick bool, seed int64, tolerance float64) error {
 	pts, err := experiments.DataAwareSweep(experiments.DataAwareConfig{
-		Seed: seed, Quick: quick, Engine: engine,
+		Seed: seed, Quick: quick,
 	})
 	if err != nil {
 		return err

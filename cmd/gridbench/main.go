@@ -78,7 +78,6 @@ func realMain() int {
 	sites := flag.Int("sites", 0, "replay grid sites (0 = 4, or 8 with -synth)")
 	nodes := flag.Int("nodes", 0, "replay nodes per site (0 = 8, or 16 with -synth)")
 	nowall := flag.Bool("nowall", false, "zero the wall-clock throughput fields in -exp replay output (for determinism diffs)")
-	engine := flag.String("engine", "", "simulation engine for the sweep experiments: callback (run-to-completion, the fast default) or goroutine (cooperative reference); both give byte-identical results")
 	fetch := flag.String("fetch", "", "download a workload archive URL into the local content-addressed cache and print its path (see EXPERIMENTS.md)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -152,14 +151,14 @@ func realMain() int {
 			return fmt.Errorf("-churn: %w", err)
 		}
 		return scaleExp(*scaleOut, *scaleBaseline, *shards, *pageSize, *quick, *seed, *tolerance,
-			rates, *churnSites, *deltaDepth, *engine)
+			rates, *churnSites, *deltaDepth)
 	})
-	run("chaos", func() error { return chaos(*chaosOut, *traceOut, *quick, *deltaChaos, *seed, *engine) })
+	run("chaos", func() error { return chaos(*chaosOut, *traceOut, *quick, *deltaChaos, *seed) })
 	run("federation", func() error {
-		return federation(*fedOut, *fedBaseline, *traceOut, *quick, *seed, *tolerance, *engine)
+		return federation(*fedOut, *fedBaseline, *traceOut, *quick, *seed, *tolerance)
 	})
 	run("dataaware", func() error {
-		return dataaware(*dataOut, *dataBaseline, *quick, *seed, *tolerance, *engine)
+		return dataaware(*dataOut, *dataBaseline, *quick, *seed, *tolerance)
 	})
 	// replay needs a workload log and checktrace an existing event
 	// log, so both run only when named explicitly (there is nothing to
@@ -172,7 +171,6 @@ func realMain() int {
 				window: *window, speedups: *speedups,
 				seed: *seed, sites: *sites, nodes: *nodes,
 				nowall: *nowall, baseline: *replayBaseline, tolerance: *tolerance,
-				engine: *engine,
 			})
 		})
 	}

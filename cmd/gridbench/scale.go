@@ -47,12 +47,11 @@ type scaleReport struct {
 // baseline is supplied — if any shared point's pass latency grew
 // beyond tolerance (the CI regression gate, same 25% default as the
 // matchmaking benchmarks).
-func scaleExp(out, baseline string, shards, pageSize int, quick bool, seed int64, tolerance float64, churn []int, churnSites, deltaDepth int, engine string) error {
+func scaleExp(out, baseline string, shards, pageSize int, quick bool, seed int64, tolerance float64, churn []int, churnSites, deltaDepth int) error {
 	cfg := experiments.ScaleConfig{
 		Shards: shards, PageSize: pageSize, Seed: seed,
 		ChurnPerPass: 64,
 		ChurnRates:   churn, ChurnSites: churnSites, DeltaLogDepth: deltaDepth,
-		Engine: engine,
 	}
 	if quick {
 		// The 50k point stays in the smoke run: the headline claim —

@@ -98,14 +98,13 @@ type Request struct {
 	// Priority orders the pending queue (higher first, FCFS within a
 	// priority level). Local jobs default to 0.
 	Priority int
-	// Run is the job body, started as a simulation process when nodes
-	// are allocated. The job completes when Run returns.
+	// Run is a blocking job body, started as a simulation process when
+	// nodes are allocated. The job completes when Run returns.
 	Run func(ctx *ExecCtx)
-	// RunCB is the callback-engine job body: instead of blocking, it
+	// RunCB is a run-to-completion job body: instead of blocking, it
 	// wires its own continuations and calls done exactly once when the
-	// job completes. When the clock runs EngineCallback and RunCB is
-	// set, the LRM dispatches it in a plain event (no process); jobs
-	// with only Run fall back to the cooperative path on either engine.
+	// job completes. When set, the LRM dispatches it in a plain event
+	// (no process) and Run is ignored.
 	RunCB func(ctx *ExecCtx, done func())
 }
 
@@ -352,10 +351,10 @@ func (q *Queue) start(h *Handle, nodes []*Node) {
 	q.nfree -= len(nodes)
 	h.exec = &ExecCtx{Nodes: nodes, Killed: q.sim.NewTrigger(), sim: q.sim}
 	h.Started.Fire()
-	if h.req.RunCB != nil && q.sim.Callback() {
-		// Run-to-completion body: one event at +0 (the same slot the
-		// cooperative engine's Go start takes), then the body's own
-		// continuation chain; finish runs when the body signals done.
+	if h.req.RunCB != nil {
+		// Run-to-completion body: one event at +0 (the same slot a
+		// process start takes), then the body's own continuation chain;
+		// finish runs when the body signals done.
 		q.sim.Post(func() {
 			h.req.RunCB(h.exec, func() { q.finish(h, nodes) })
 		})
@@ -470,39 +469,5 @@ func FixedWork(cpu time.Duration) func(*ExecCtx) {
 		for _, s := range slots {
 			s.Close() // stops any work left when killed; idempotent
 		}
-	}
-}
-
-// FixedWorkCB is FixedWork for the callback engine: the same slot
-// fan-out and Killed race, with the final Wait replaced by a
-// continuation on the same trigger, so both bodies schedule identical
-// events.
-func FixedWorkCB(cpu time.Duration) func(*ExecCtx, func()) {
-	return func(ctx *ExecCtx, fin func()) {
-		if len(ctx.Nodes) == 0 {
-			fin()
-			return
-		}
-		done := ctx.sim.NewTrigger()
-		remaining := len(ctx.Nodes)
-		slots := make([]*vmslot.Slot, 0, len(ctx.Nodes))
-		for _, n := range ctx.Nodes {
-			slot := n.CPU.NewSlot("batchjob", 100)
-			slots = append(slots, slot)
-			t := slot.Start(cpu)
-			t.OnFire(func() {
-				remaining--
-				if remaining == 0 {
-					done.Fire()
-				}
-			})
-		}
-		ctx.Killed.OnFire(done.Fire)
-		done.WaitThen(func() {
-			for _, s := range slots {
-				s.Close() // stops any work left when killed; idempotent
-			}
-			fin()
-		})
 	}
 }

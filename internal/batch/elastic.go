@@ -338,7 +338,7 @@ func (p *Pool) start(h *Handle, nodes []*Node) {
 	h.exec = &ExecCtx{Nodes: nodes, Killed: p.sim.NewTrigger(), sim: p.sim}
 	h.Started.Fire()
 	gen := p.gen
-	if h.req.RunCB != nil && p.sim.Callback() {
+	if h.req.RunCB != nil {
 		p.sim.Post(func() {
 			h.req.RunCB(h.exec, func() { p.finish(h, nodes, gen) })
 		})

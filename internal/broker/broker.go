@@ -20,7 +20,7 @@
 //     selection, the gatekeeper and the local queue entirely.
 //
 // The broker runs in virtual time on a simclock.Sim; every submission
-// becomes a simulation process whose phase timestamps (discovery,
+// becomes a chain of simulation events whose phase timestamps (discovery,
 // selection, submission-to-first-output) are recorded on the Handle,
 // which is how the Table I benchmark extracts its rows.
 package broker
@@ -87,12 +87,16 @@ type FairShare interface {
 // Directory is the broker's window onto the information system:
 // the shared *infosys.Service, or a per-broker *infosys.View in a
 // federation (a split-brain freezes each broker's view
-// independently).
+// independently). A read charges the query latency as one timer event
+// and then reads through the Immediate variant at the post-latency
+// instant.
 type Directory interface {
-	// Snapshot returns the whole-grid view, charging query latency.
-	Snapshot() *infosys.Snapshot
-	// Discover starts a paged traversal, charging query latency once.
-	Discover(pageSize int) *infosys.Cursor
+	// QueryLatency is the cost of one discovery query.
+	QueryLatency() time.Duration
+	// SnapshotImmediate returns the whole-grid view, charging nothing.
+	SnapshotImmediate() *infosys.Snapshot
+	// DiscoverImmediate starts a paged traversal, charging nothing.
+	DiscoverImmediate(pageSize int) *infosys.Cursor
 	// Publish lands a site record in the shared registry.
 	Publish(rec infosys.SiteRecord) error
 	// Remove deletes a site record from the shared registry.
@@ -149,7 +153,7 @@ type Config struct {
 	// selection phase runs concurrently. 0 or 1 (the default) probes
 	// sites one after another, reproducing the paper's serial
 	// selection cost (~3 s for 20 sites, Table I); a larger width
-	// fans the probes out as concurrent simulation processes so the
+	// fans the probes out as concurrent probe workers so the
 	// selection time approaches the maximum site round trip; negative
 	// probes every site at once.
 	ProbeWidth int
@@ -323,8 +327,10 @@ type RunContext struct {
 	Killed *simclock.Trigger
 }
 
-// Body is a job's execution body, run as a simulation process once
-// per job (not per node).
+// Body is a job's execution body, run as one cooperative simulation
+// process per job (not per node), so it may block in Sim.Sleep,
+// Trigger.Wait, rc.Output and rc.Input; the scheduling flow resumes
+// when it returns.
 type Body func(rc *RunContext)
 
 // Request is a submission to the broker.
@@ -598,7 +604,7 @@ func (b *Broker) FreeInteractiveVMs() int {
 func (b *Broker) PendingBatch() int { return len(b.pendingBatch) }
 
 // Submit schedules a job. It may be called from any context; the
-// entire flow runs as simulation processes. The returned handle's
+// entire flow runs as simulation events. The returned handle's
 // triggers report progress.
 func (b *Broker) Submit(req Request) (*Handle, error) {
 	if req.Job == nil {
@@ -629,17 +635,10 @@ func (b *Broker) Submit(req Request) (*Handle, error) {
 	return h, nil
 }
 
-// startRoute launches the scheduling flow on the configured engine —
-// one event at +0 either way. Jobs with a custom blocking Body stay on
-// the cooperative path even under EngineCallback; since both engines
-// schedule identical event patterns, mixed workloads remain
-// deterministic and trace-equivalent.
+// startRoute launches the job's scheduling flow in its own event at
+// the current instant.
 func (b *Broker) startRoute(h *Handle) {
-	if b.cbReady() && h.request.Body == nil {
-		b.sim.Post(func() { b.routeCB(h) })
-		return
-	}
-	b.sim.Go(func() { b.route(h) })
+	b.sim.Post(func() { b.route(h) })
 }
 
 // SubmitTransferred adopts a job shipped from a peer broker. The
@@ -727,7 +726,7 @@ func jobClass(job *jdl.Job) string {
 // console's give-up path when a reliable link exhausts its retry
 // budget, or an operator. The job transitions to Failed with the
 // given reason (ErrAborted if nil) as soon as the owning scheduling
-// process observes the abort; a job waiting in the broker queue is
+// flow observes the abort; a job waiting in the broker queue is
 // dropped at its next dispatch.
 func (b *Broker) Abort(h *Handle, reason error) {
 	if h.state == Done || h.state == Failed || h.abort.Fired() {
@@ -738,19 +737,6 @@ func (b *Broker) Abort(h *Handle, reason error) {
 	}
 	h.abortErr = reason
 	h.abort.Fire()
-}
-
-// route picks the scheduling path per job type (Figure 5).
-func (b *Broker) route(h *Handle) {
-	job := h.request.Job
-	switch {
-	case !job.Interactive:
-		b.runBatch(h)
-	case job.Access == jdl.SharedAccess:
-		b.runInteractiveShared(h)
-	default:
-		b.runInteractiveExclusive(h)
-	}
 }
 
 func (b *Broker) fail(h *Handle, err error) {
@@ -786,7 +772,7 @@ func (b *Broker) finish(h *Handle) {
 // the tree while the job is queued or running, and a job that
 // re-enters matching (retry, eviction, lost agent, failed launch)
 // rebuilds it from the mirror in subscriber.state. Every flow that
-// emits Matched goes through here, in both engines.
+// emits Matched goes through here.
 func (b *Broker) emitMatched(h *Handle, ev trace.Event) {
 	b.cfg.Trace.Emit(ev)
 	b.releaseMatch(h)

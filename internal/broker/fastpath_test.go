@@ -7,6 +7,7 @@ import (
 
 	"crossbroker/internal/batch"
 	"crossbroker/internal/fairshare"
+	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
@@ -32,22 +33,18 @@ func probeGrid(nSites int, cfg Config, qc func(i int) time.Duration) (*simclock.
 	return sim, b
 }
 
-// runSelection executes one discovery+selection pass as a simulation
-// process and returns the handle (phase durations) plus the candidates.
+// runSelection runs one whole-snapshot discovery+selection pass to
+// completion and returns the handle (phase durations) plus the
+// candidates.
 func runSelection(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) (*Handle, []candidate) {
 	t.Helper()
 	h := &Handle{request: Request{Job: job}}
 	var cands []candidate
-	done := false
-	sim.Go(func() {
-		snap := b.discover(h)
-		cands = b.selection(h, snap, nil)
-		done = true
+	await(t, sim, time.Hour, func(done func()) {
+		b.discover(h, func(snap *infosys.Snapshot) {
+			b.selection(h, snap, nil, func(c []candidate) { cands = c; done() })
+		})
 	})
-	sim.RunFor(time.Hour)
-	if !done {
-		t.Fatal("selection pass did not complete")
-	}
 	return h, cands
 }
 

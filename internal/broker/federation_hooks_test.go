@@ -83,21 +83,24 @@ func TestHalfOpenProbeSingleFlight(t *testing.T) {
 	g.sim.RunFor(2 * time.Minute) // past the cooldown: half-open
 	job := &jdl.Job{Executable: "x", NodeNumber: 1}
 	var got []int
-	for i := 0; i < 2; i++ {
-		g.sim.Go(func() { got = append(got, g.b.SelectionPass(job)) })
-	}
-	g.sim.RunFor(time.Minute)
-	if len(got) != 2 {
-		t.Fatalf("passes finished = %d, want 2", len(got))
-	}
+	await(t, g.sim, time.Minute, func(done func()) {
+		for i := 0; i < 2; i++ {
+			g.b.SelectionPassStatsAsync(job, func(ps PassStats) {
+				if got = append(got, ps.Candidates); len(got) == 2 {
+					done()
+				}
+			})
+		}
+	})
 	if got[0]+got[1] != 1 {
 		t.Fatalf("candidate counts = %v, want exactly one pass to see the half-open site", got)
 	}
 	// The answered probe released the gate: a later pass sees the site
 	// again without waiting for a successful submission.
 	var after int
-	g.sim.Go(func() { after = g.b.SelectionPass(job) })
-	g.sim.RunFor(time.Minute)
+	await(t, g.sim, time.Minute, func(done func()) {
+		g.b.SelectionPassStatsAsync(job, func(ps PassStats) { after = ps.Candidates; done() })
+	})
 	if after != 1 {
 		t.Fatalf("post-probe pass candidates = %d, want 1", after)
 	}

@@ -110,32 +110,26 @@ func newSubscriber(b *Broker, src infosys.DeltaSource) *subscriber {
 	}
 }
 
-// poll brings the mirror up to date: every shard is asked for what
-// changed since the subscriber's position, the answers are fetched at
-// one point in time, and their wire costs are paid as parallel
-// per-shard link waits — each shard is an independently-publishing
-// unit behind its own link, so the pass resumes when the slowest
-// shard's answer lands. Must run in a simulation process.
-func (s *subscriber) poll(h *Handle) {
-	// Serialize concurrent passes. The subscriber yields while waiting
-	// out link costs; a second pass barging in there would reuse the
-	// scratch answers and, worse, could apply answers out of fetch
-	// order, regressing the mirror to stale records. Queue behind the
+// poll brings the mirror up to date, then calls cont: every shard is
+// asked for what changed since the subscriber's position, the answers
+// are fetched at one point in time, and their wire costs are paid as
+// parallel per-shard link waits (one posted event plus one timer event
+// per shard) — each shard is an independently-publishing unit behind
+// its own link, so the pass resumes when the slowest shard's answer
+// lands.
+func (s *subscriber) poll(h *Handle, cont func()) {
+	// Serialize concurrent passes. A pass waiting out link costs must
+	// not be barged in on: a second pass would reuse the scratch
+	// answers and, worse, could apply answers out of fetch order,
+	// regressing the mirror to stale records. Queue behind the
 	// in-flight poll and fetch from the advanced positions instead.
-	for s.polling {
+	if s.polling {
 		w := s.b.sim.NewTrigger()
 		s.pollWaiters = append(s.pollWaiters, w)
-		w.Wait()
+		w.WaitThen(func() { s.poll(h, cont) })
+		return
 	}
 	s.polling = true
-	defer func() {
-		s.polling = false
-		ws := s.pollWaiters
-		s.pollWaiters = nil
-		for _, w := range ws {
-			w.Fire()
-		}
-	}()
 
 	n := len(s.epochs)
 	if cap(s.updScratch) < n {
@@ -149,25 +143,37 @@ func (s *subscriber) poll(h *Handle) {
 			maxCost = upds[i].Cost
 		}
 	}
-	if maxCost > 0 {
-		remaining := n
-		done := s.b.sim.NewTrigger()
+	applyAll := func() {
 		for i := range upds {
-			cost := upds[i].Cost
-			s.b.sim.Go(func() {
-				s.b.sim.Sleep(cost)
+			s.apply(&upds[i], h)
+			upds[i] = infosys.SubUpdate{} // release snapshot/delta references
+		}
+		s.polling = false
+		ws := s.pollWaiters
+		s.pollWaiters = nil
+		for _, w := range ws {
+			w.Fire()
+		}
+		cont()
+	}
+	if maxCost == 0 {
+		applyAll()
+		return
+	}
+	remaining := n
+	done := s.b.sim.NewTrigger()
+	for i := range upds {
+		cost := upds[i].Cost
+		s.b.sim.Post(func() {
+			s.b.sim.AfterFunc(cost, func() {
 				remaining--
 				if remaining == 0 {
 					done.Fire()
 				}
 			})
-		}
-		done.Wait()
+		})
 	}
-	for i := range upds {
-		s.apply(&upds[i], h)
-		upds[i] = infosys.SubUpdate{} // release snapshot/delta references
-	}
+	done.WaitThen(applyAll)
 }
 
 // apply folds one shard's answer into the mirror and every standing
@@ -447,9 +453,8 @@ func walkTree(t *standNode, fn func(*standNode) bool) bool {
 // matchIncremental is the delta-subscription matchmaking pass:
 // discovery is a poll (cost: slowest shard's answer), selection
 // extracts the job's candidates from its standing tree and shares
-// finishSelection's probe/rank pipeline with the other passes. Must
-// run in a simulation process.
-func (b *Broker) matchIncremental(h *Handle, excluded map[string]bool) []candidate {
+// finishSelection's probe/rank pipeline with the other passes.
+func (b *Broker) matchIncremental(h *Handle, excluded map[string]bool, cont func([]candidate)) {
 	h.state = Matching
 	s := b.sub
 	job := h.request.Job
@@ -457,54 +462,56 @@ func (b *Broker) matchIncremental(h *Handle, excluded map[string]bool) []candida
 	dstart := b.sim.Now()
 	h.polledAt = dstart
 	h.deltas, h.repins = 0, 0
-	s.poll(h)
-	h.matchEpoch = s.applied
-	h.Phases.Discovery = b.sim.Since(dstart)
+	s.poll(h, func() {
+		h.matchEpoch = s.applied
+		h.Phases.Discovery = b.sim.Since(dstart)
 
-	// Catalog mutations (replica adds/drops) shift staging penalties
-	// for every standing tree at once; rebuild against the new version
-	// before extraction. Pure computation, order-independent.
-	if c := b.cfg.Data; c != nil && b.cfg.DataAware {
-		if v := c.Version(); v != s.dataVer {
-			s.dataVer = v
-			for _, js := range s.jobs {
-				js.rebuild(s)
+		// Catalog mutations (replica adds/drops) shift staging penalties
+		// for every standing tree at once; rebuild against the new
+		// version before extraction. Pure computation, order-independent.
+		if c := b.cfg.Data; c != nil && b.cfg.DataAware {
+			if v := c.Version(); v != s.dataVer {
+				s.dataVer = v
+				for _, js := range s.jobs {
+					js.rebuild(s)
+				}
 			}
 		}
-	}
 
-	sstart := b.sim.Now()
-	nonce := b.rng.Uint64()
-	js := s.state(job)
-	h.scanned = len(s.mirror)
-	h.unavailable = 0
-	kept := b.getTasks()
-	if topk := b.cfg.TopK; topk > 0 {
-		kept = s.extractTopK(b, js, nonce, topk, excluded, kept)
-	} else {
-		kept = s.extractAll(b, js, nonce, excluded, kept)
-	}
-	h.peak = len(kept)
-	// Pre-probe unavailable accounting, oracle-style: the snapshot
-	// pass counts every quarantined registry record it enumerates.
-	// The walk above never visits requirement-failing sites, so count
-	// from the health map instead (pure reads — no half-open claims —
-	// so map order cannot matter).
-	if len(b.health) > 0 {
-		now := b.sim.Now()
-		for name, hl := range b.health {
-			if excluded[name] || !now.Before(hl.quarantinedUntil) {
-				continue
-			}
-			if _, ok := s.mirror[name]; ok {
-				h.unavailable++
+		sstart := b.sim.Now()
+		nonce := b.rng.Uint64()
+		js := s.state(job)
+		h.scanned = len(s.mirror)
+		h.unavailable = 0
+		kept := b.getTasks()
+		if topk := b.cfg.TopK; topk > 0 {
+			kept = s.extractTopK(b, js, nonce, topk, excluded, kept)
+		} else {
+			kept = s.extractAll(b, js, nonce, excluded, kept)
+		}
+		h.peak = len(kept)
+		// Pre-probe unavailable accounting, oracle-style: the snapshot
+		// pass counts every quarantined registry record it enumerates.
+		// The walk above never visits requirement-failing sites, so count
+		// from the health map instead (pure reads — no half-open claims —
+		// so map order cannot matter).
+		if len(b.health) > 0 {
+			now := b.sim.Now()
+			for name, hl := range b.health {
+				if excluded[name] || !now.Before(hl.quarantinedUntil) {
+					continue
+				}
+				if _, ok := s.mirror[name]; ok {
+					h.unavailable++
+				}
 			}
 		}
-	}
-	cands := b.finishSelection(h, kept)
-	b.putTasks(kept)
-	h.Phases.Selection += b.sim.Since(sstart)
-	return cands
+		b.finishSelection(h, kept, func(cands []candidate) {
+			b.putTasks(kept)
+			h.Phases.Selection += b.sim.Since(sstart)
+			cont(cands)
+		})
+	})
 }
 
 // extractAll collects every live tree entry (TopK disabled) — the

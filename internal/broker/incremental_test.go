@@ -155,13 +155,7 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 
 	sim, b, info := deltaGrid(Config{Seed: seed, TopK: k, Incremental: true}, 8, 64)
 	h := &Handle{request: Request{Job: job}}
-	var got []candidate
-	done := false
-	sim.Go(func() { got = b.matchPass(h, nil); done = true })
-	sim.RunFor(time.Hour)
-	if !done {
-		t.Fatal("pass did not complete")
-	}
+	got := awaitPass(t, sim, b, h)
 	if h.peak != k || len(got) != k {
 		t.Fatalf("peak=%d kept=%d, want TopK=%d", h.peak, len(got), k)
 	}
@@ -179,12 +173,7 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	// Steady state: a churned pass applies deltas, not re-pins.
 	churn(t, info, 1)
 	h = &Handle{request: Request{Job: job}}
-	done = false
-	sim.Go(func() { b.matchPass(h, nil); done = true })
-	sim.RunFor(time.Hour)
-	if !done {
-		t.Fatal("second pass did not complete")
-	}
+	awaitPass(t, sim, b, h)
 	if h.deltas == 0 || h.repins != 0 {
 		t.Fatalf("steady-state pass: deltas=%d repins=%d, want pure delta repair", h.deltas, h.repins)
 	}
@@ -213,12 +202,7 @@ Rank         = other.MemoryMB + other.Preferred;
 		s := b.sub
 
 		poll := func() {
-			done := false
-			sim.Go(func() { s.poll(nil); done = true })
-			sim.RunFor(time.Hour)
-			if !done {
-				t.Fatal("poll did not complete")
-			}
+			await(t, sim, time.Hour, func(done func()) { s.poll(nil, done) })
 		}
 		poll()
 		for _, job := range jobs {
@@ -530,21 +514,17 @@ Rank         = other.Preferred;
 		var snap *infosys.Snapshot
 		trees := make([][]string, len(hs))
 		held := make([]bool, len(hs))
-		done := false
-		sim.Go(func() {
-			s.poll(nil)
-			snap = info.SnapshotImmediate()
-			for i, h := range hs {
-				if js := s.jobs[h.request.Job]; js != nil {
-					trees[i], held[i] = standingLines(js), true
+		await(t, sim, time.Second, func(done func()) {
+			s.poll(nil, func() {
+				snap = info.SnapshotImmediate()
+				for i, h := range hs {
+					if js := s.jobs[h.request.Job]; js != nil {
+						trees[i], held[i] = standingLines(js), true
+					}
 				}
-			}
-			done = true
+				done()
+			})
 		})
-		sim.RunFor(time.Second)
-		if !done {
-			t.Fatalf("%s: poll did not complete", when)
-		}
 		for i, h := range hs {
 			if !held[i] {
 				t.Fatalf("%s: job %s (state %v) holds no standing tree", when, h.ID, h.State())

@@ -73,21 +73,23 @@ func (b *Broker) localSnapshot() *infosys.Snapshot {
 }
 
 // discover queries the information system, recording the discovery
-// phase on h. The returned snapshot is immutable and shared between
-// every pass of the current registry epoch. Must run in a simulation
-// process.
-func (b *Broker) discover(h *Handle) *infosys.Snapshot {
+// phase on h, and hands cont the snapshot. The query latency is one
+// timer event; the snapshot is read at the post-latency instant. The
+// snapshot is immutable and shared between every pass of the current
+// registry epoch.
+func (b *Broker) discover(h *Handle, cont func(*infosys.Snapshot)) {
 	h.state = Matching
 	start := b.sim.Now()
-	var snap *infosys.Snapshot
-	if b.cfg.Info != nil {
-		snap = b.cfg.Info.Snapshot()
-	} else {
-		snap = b.localSnapshot()
+	finish := func(snap *infosys.Snapshot) {
+		h.Phases.Discovery = b.sim.Since(start)
+		h.scanned = snap.Len()
+		cont(snap)
 	}
-	h.Phases.Discovery = b.sim.Since(start)
-	h.scanned = snap.Len()
-	return snap
+	if info := b.cfg.Info; info != nil {
+		b.sim.AfterFunc(info.QueryLatency(), func() { finish(info.SnapshotImmediate()) })
+		return
+	}
+	finish(b.localSnapshot())
 }
 
 // probeTask carries one requirement-matched site through the direct
@@ -150,21 +152,24 @@ func (h topkHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *topkHeap) Push(x any)        { *h = append(*h, x.(probeTask)) }
 func (h *topkHeap) Pop() any          { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
 
-// matchPass runs one discovery+selection attempt for h. By default the
-// registry streams past page by page (matchStream); Config.Incremental
-// routes the pass through the delta-subscription matchmaker
-// (incremental.go); Config.PageSize < 0 selects the pre-paging
-// whole-snapshot pass, kept as the reference path. Must run in a
-// simulation process.
-func (b *Broker) matchPass(h *Handle, excluded map[string]bool) []candidate {
+// matchPass runs one discovery+selection attempt for h and hands the
+// ordered candidates to cont. By default the registry streams past
+// page by page (matchStream); Config.Incremental routes the pass
+// through the delta-subscription matchmaker (incremental.go);
+// Config.PageSize < 0 selects the pre-paging whole-snapshot pass, kept
+// as the reference path.
+func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]candidate)) {
 	if b.cfg.Incremental {
-		return b.matchIncremental(h, excluded)
+		b.matchIncremental(h, excluded, cont)
+		return
 	}
 	if b.cfg.PageSize < 0 {
-		snap := b.discover(h)
-		return b.selection(h, snap, excluded)
+		b.discover(h, func(snap *infosys.Snapshot) {
+			b.selection(h, snap, excluded, cont)
+		})
+		return
 	}
-	return b.matchStream(h, excluded)
+	b.matchStream(h, excluded, cont)
 }
 
 // matchStream is the paged matchmaking pass: discovery hands back a
@@ -174,43 +179,44 @@ func (b *Broker) matchPass(h *Handle, excluded map[string]bool) []candidate {
 // so the pass keeps O(PageSize + K) state no matter how many sites
 // match; with TopK <= 0 every match is kept and the pass reproduces
 // the whole-snapshot selection exactly. Survivors are probed and
-// re-ranked on fresh state by finishSelection. Must run in a
-// simulation process.
-func (b *Broker) matchStream(h *Handle, excluded map[string]bool) []candidate {
+// re-ranked on fresh state by finishSelection. The query latency is
+// one timer event; the page loop is pure computation.
+func (b *Broker) matchStream(h *Handle, excluded map[string]bool, cont func([]candidate)) {
 	h.state = Matching
 
 	dstart := b.sim.Now()
-	var cur *infosys.Cursor
-	if b.cfg.Info != nil {
-		cur = b.cfg.Info.Discover(b.cfg.PageSize)
-	} else {
-		cur = b.localSnapshot().Cursor(b.cfg.PageSize)
-	}
-	h.Phases.Discovery = b.sim.Since(dstart)
+	withCursor := func(cur *infosys.Cursor) {
+		h.Phases.Discovery = b.sim.Since(dstart)
 
-	sstart := b.sim.Now()
-	nonce := b.rng.Uint64()
-	h.unavailable, h.scanned, h.peak = 0, 0, 0
-	topk := b.cfg.TopK
-	keep := topkHeap(b.getTasks())
-	for page, ok := cur.Next(); ok; page, ok = cur.Next() {
-		b.scanPage(h, page, excluded, nonce, topk, &keep)
+		sstart := b.sim.Now()
+		nonce := b.rng.Uint64()
+		h.unavailable, h.scanned, h.peak = 0, 0, 0
+		topk := b.cfg.TopK
+		keep := topkHeap(b.getTasks())
+		for page, ok := cur.Next(); ok; page, ok = cur.Next() {
+			b.scanPage(h, page, excluded, nonce, topk, &keep)
+		}
+		b.finishSelection(h, []probeTask(keep), func(cands []candidate) {
+			b.putTasks([]probeTask(keep))
+			h.Phases.Selection += b.sim.Since(sstart)
+			cont(cands)
+		})
 	}
-	cands := b.finishSelection(h, []probeTask(keep))
-	b.putTasks([]probeTask(keep))
-	h.Phases.Selection += b.sim.Since(sstart)
-	return cands
+	if info := b.cfg.Info; info != nil {
+		b.sim.AfterFunc(info.QueryLatency(), func() { withCursor(info.DiscoverImmediate(b.cfg.PageSize)) })
+		return
+	}
+	withCursor(b.localSnapshot().Cursor(b.cfg.PageSize))
 }
 
 // scanPage filters one discovery page into the bounded top-K
-// candidate heap. It is the page loop shared verbatim by matchStream
-// and its callback twin (matchStreamCB): pure computation, no virtual
-// time passes inside a page — probes and page latency happen outside
-// — so the clock is read once per page, and the scan index resolves a
-// record's registered site and breaker state in a single lookup. The
-// pass visits every published record, which made the per-record
-// sites/health/clock triple the dominant matchmaking cost on large
-// grids.
+// candidate heap. It is matchStream's page loop: pure computation, no
+// virtual time passes inside a page — probes and page latency happen
+// outside — so the clock is read once per page, and the scan index
+// resolves a record's registered site and breaker state in a single
+// lookup. The pass visits every published record, which made the
+// per-record sites/health/clock triple the dominant matchmaking cost on
+// large grids.
 func (b *Broker) scanPage(h *Handle, page infosys.Page, excluded map[string]bool, nonce uint64, topk int, keep *topkHeap) {
 	job := h.request.Job
 	snap := page.Snapshot()
@@ -288,11 +294,9 @@ func (b *Broker) scanPage(h *Handle, page infosys.Page, excluded map[string]bool
 // full snapshot against the job's compiled Requirements and hands the
 // matches to finishSelection for probing and ranking. The streamed
 // pass (matchStream) replaces it on the hot path; it remains the
-// reference implementation and the equivalence-test oracle. Must run
-// in a simulation process.
-func (b *Broker) selection(h *Handle, snap *infosys.Snapshot, excluded map[string]bool) []candidate {
+// reference implementation and the equivalence-test oracle.
+func (b *Broker) selection(h *Handle, snap *infosys.Snapshot, excluded map[string]bool, cont func([]candidate)) {
 	start := b.sim.Now()
-	defer func() { h.Phases.Selection += b.sim.Since(start) }()
 
 	job := h.request.Job
 	req, _ := job.CompiledPredicates(snap.Schema())
@@ -334,18 +338,20 @@ func (b *Broker) selection(h *Handle, snap *infosys.Snapshot, excluded map[strin
 		kept = append(kept, p)
 	}
 	h.peak = len(kept)
-	return b.finishSelection(h, kept)
+	b.finishSelection(h, kept, func(cands []candidate) {
+		h.Phases.Selection += b.sim.Since(start)
+		cont(cands)
+	})
 }
 
 // finishSelection contacts each kept site directly for up-to-date
 // queue state (serially or probeWidth-wide, see Config.ProbeWidth),
 // applies leases, ranks the survivors on the fresh state (job Rank
-// expression or free CPUs), and orders candidates best first with the
-// seeded tie-break. A candidate whose Rank evaluation errors is
-// excluded, exactly like a failing Requirements evaluation. Shared by
-// the streamed and whole-snapshot passes; must run in a simulation
-// process.
-func (b *Broker) finishSelection(h *Handle, kept []probeTask) []candidate {
+// expression or free CPUs), and hands cont the candidates best first
+// with the seeded tie-break. A candidate whose Rank evaluation errors
+// is excluded, exactly like a failing Requirements evaluation. Shared
+// by every pass.
+func (b *Broker) finishSelection(h *Handle, kept []probeTask, cont func([]candidate)) {
 	// Probe in site-name order no matter how the pass enumerated its
 	// matches (whole snapshot, shard-major stream, top-K heap): probes
 	// spend simulated time, so a stable order keeps lease expiries and
@@ -354,21 +360,19 @@ func (b *Broker) finishSelection(h *Handle, kept []probeTask) []candidate {
 	// "Information may not be completely accurate ... CrossBroker
 	// contacts each remote site individually and gets the most updated
 	// information about the state of their local queues."
-	b.probeSites(kept)
-	return b.rankProbed(h, kept)
+	b.probeSites(kept, func() {
+		cont(b.rankProbed(h, kept))
+	})
 }
 
 // sortTasksByName orders probe tasks by site name — the stable probe
-// order both engines share.
+// order every pass shares.
 func sortTasksByName(kept []probeTask) {
 	sort.Slice(kept, func(i, j int) bool { return kept[i].st.Name() < kept[j].st.Name() })
 }
 
 // rankProbed is the pure post-probe half of finishSelection: apply
 // probe outcomes, re-rank survivors on fresh state, order best first.
-// Shared verbatim by both engines (finishSelection and
-// finishSelectionCB), so the candidate order cannot drift between
-// them.
 func (b *Broker) rankProbed(h *Handle, kept []probeTask) []candidate {
 	job := h.request.Job
 	cands := make([]candidate, 0, len(kept))
@@ -433,26 +437,26 @@ func (b *Broker) putTasks(t []probeTask) {
 }
 
 // probeSites fills each task's free/queued fields via the site's
-// direct QueryState, subtracting the broker's active leases as each
+// direct state probe, subtracting the broker's active leases as each
 // answer arrives (so concurrent matchmaking passes see each other's
-// reservations exactly as the serial implementation did). With
-// ProbeWidth <= 1 sites are contacted one after another (the paper's
-// behavior: selection costs the sum of site round trips, ~3 s for 20
-// sites in Table I). With a larger width the probes run as concurrent
-// simulation processes and the elapsed simulated time is the maximum
-// round trip over each worker's share. Must run in a simulation
-// process.
-func (b *Broker) probeSites(tasks []probeTask) {
+// reservations), then calls cont. With ProbeWidth <= 1 sites are
+// contacted one after another, a continuation chain of one probe event
+// each (the paper's behavior: selection costs the sum of site round
+// trips, ~3 s for 20 sites in Table I). With a larger width one worker
+// per slot is posted and each chains through the shared next counter,
+// so the elapsed simulated time is the maximum round trip over each
+// worker's share. Everything runs on the one simulation thread, so the
+// shared counters and the health map need no locking and the probe
+// order stays deterministic.
+func (b *Broker) probeSites(tasks []probeTask, cont func()) {
 	n := len(tasks)
 	if n == 0 {
+		cont()
 		return
 	}
-	probe := func(i int) {
-		free, queued, ok := tasks[i].st.QueryStateOK()
+	handle := func(i, free, queued int, ok bool) {
 		tasks[i].ok = ok
 		if !ok {
-			// Cooperative sim processes run one at a time, so the
-			// health map needs no locking even probeWidth-wide.
 			b.noteSiteFailure(tasks[i].st.Name())
 			return
 		}
@@ -465,44 +469,47 @@ func (b *Broker) probeSites(tasks []probeTask) {
 	}
 	width := b.cfg.ProbeWidth
 	if width >= 0 && width <= 1 {
-		for i := range tasks {
-			probe(i)
+		var step func(i int)
+		step = func(i int) {
+			if i == n {
+				cont()
+				return
+			}
+			tasks[i].st.QueryStateAsync(func(free, queued int, ok bool) {
+				handle(i, free, queued, ok)
+				step(i + 1)
+			})
 		}
+		step(0)
 		return
 	}
 	workers := n
 	if width > 0 && width < n {
 		workers = width
 	}
-	// Cooperative simulation processes run one at a time with channel
-	// handoffs, so the shared counters need no locking and the probe
-	// order stays deterministic (event-sequence order).
 	next := 0
 	remaining := workers
 	done := b.sim.NewTrigger()
-	for w := 0; w < workers; w++ {
-		b.sim.Go(func() {
-			for next < n {
-				i := next
-				next++
-				probe(i)
-			}
+	var runWorker func()
+	runWorker = func() {
+		if next >= n {
 			remaining--
 			if remaining == 0 {
 				done.Fire()
 			}
+			return
+		}
+		i := next
+		next++
+		tasks[i].st.QueryStateAsync(func(free, queued int, ok bool) {
+			handle(i, free, queued, ok)
+			runWorker()
 		})
 	}
-	done.Wait()
-}
-
-// SelectionPass runs one full matchmaking pass (discovery plus
-// selection) for job and returns the number of candidate sites. It
-// must be called from a simulation process; benchmarks and gridbench
-// use it to measure the pipeline end to end.
-func (b *Broker) SelectionPass(job *jdl.Job) int {
-	h := &Handle{request: Request{Job: job}}
-	return len(b.matchPass(h, nil))
+	for w := 0; w < workers; w++ {
+		b.sim.Post(runWorker)
+	}
+	done.WaitThen(cont)
 }
 
 // PassStats describes one matchmaking pass for instrumentation (the
@@ -525,22 +532,24 @@ type PassStats struct {
 	Discovery, Selection time.Duration
 }
 
-// SelectionPassStats runs one matchmaking pass for job and reports its
-// instrumentation counters and simulated phase durations. Must be
-// called from a simulation process.
-func (b *Broker) SelectionPassStats(job *jdl.Job) PassStats {
+// SelectionPassStatsAsync runs one matchmaking pass for job from any
+// context and delivers the pass's instrumentation counters and
+// simulated phase durations to cont when the pass completes (the scale
+// sweep and benchmarks measure the pipeline end to end with it).
+func (b *Broker) SelectionPassStatsAsync(job *jdl.Job, cont func(PassStats)) {
 	h := &Handle{request: Request{Job: job}}
-	cands := b.matchPass(h, nil)
-	return PassStats{
-		Scanned:     h.scanned,
-		Candidates:  len(cands),
-		Peak:        h.peak,
-		Unavailable: h.unavailable,
-		Deltas:      h.deltas,
-		Repins:      h.repins,
-		Discovery:   h.Phases.Discovery,
-		Selection:   h.Phases.Selection,
-	}
+	b.matchPass(h, nil, func(cands []candidate) {
+		cont(PassStats{
+			Scanned:     h.scanned,
+			Candidates:  len(cands),
+			Peak:        h.peak,
+			Unavailable: h.unavailable,
+			Deltas:      h.deltas,
+			Repins:      h.repins,
+			Discovery:   h.Phases.Discovery,
+			Selection:   h.Phases.Selection,
+		})
+	})
 }
 
 // leaseEntry is a batch of leases sharing one expiry instant.
@@ -729,7 +738,7 @@ func (b *Broker) dispatchPending() {
 			b.fail(h, h.abortErr)
 			continue
 		}
-		b.startBatchRun(h)
+		b.sim.Post(func() { b.runBatch(h) })
 	}
 }
 
@@ -772,13 +781,14 @@ func (b *Broker) retryDelay(n int) time.Duration {
 	return d
 }
 
-// waitTrigger waits for t up to d, reporting whether it fired. Must
-// run in a simulation process.
-func (b *Broker) waitTrigger(t *simclock.Trigger, d time.Duration) bool {
+// waitTrigger waits for t up to d; cont receives whether t fired
+// before the deadline.
+func (b *Broker) waitTrigger(t *simclock.Trigger, d time.Duration, cont func(fired bool)) {
 	w := b.sim.NewTrigger()
 	timer := b.sim.AfterFunc(d, w.Fire)
 	t.OnFire(w.Fire)
-	w.Wait()
-	timer.Stop()
-	return t.Fired()
+	w.WaitThen(func() {
+		timer.Stop()
+		cont(t.Fired())
+	})
 }

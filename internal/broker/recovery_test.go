@@ -10,6 +10,7 @@ import (
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
 	"crossbroker/internal/site"
+	"crossbroker/internal/trace"
 )
 
 // Test2PCAbortAtSite pins the two-phase-commit abort window at the
@@ -304,5 +305,93 @@ func TestGatekeeperStallResubmitsElsewhere(t *testing.T) {
 	}
 	if h.Resubmissions() == 0 {
 		t.Fatal("stall timeout did not count a resubmission")
+	}
+}
+
+// TestAbortCustomBodyBlockedInSleep: a custom Body runs as the one
+// cooperative process of its flow. Aborted while blocked in Sleep, the
+// job fails at once with the abort reason and drops its lease; its
+// nodes go back to the LRM when the body returns, and the event log
+// passes the drained-grid invariants.
+func TestAbortCustomBodyBlockedInSleep(t *testing.T) {
+	g, tr := tracedGrid(t, 1, 1, Config{})
+	reason := errors.New("console: link gave up")
+	req := interactiveJob(jdl.ExclusiveAccess, 0, 1)
+	returned := false
+	req.Body = func(rc *RunContext) {
+		rc.Output(1)
+		rc.Sim.Sleep(2 * time.Hour)
+		returned = true
+	}
+	h, err := g.b.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.sim.RunFor(5 * time.Minute)
+	if h.State() != Running {
+		t.Fatalf("state before abort = %v, want Running", h.State())
+	}
+	g.b.Abort(h, reason)
+	g.sim.RunFor(time.Minute)
+	if h.State() != Failed || !errors.Is(h.Err(), reason) {
+		t.Fatalf("after abort: state = %v err = %v, want Failed with the abort reason", h.State(), h.Err())
+	}
+	if n := g.b.LeasedCPUs(); n != 0 {
+		t.Fatalf("%d leases held after abort", n)
+	}
+	q := g.sites[0].Queue()
+	if returned || q.RunningCount() != 1 {
+		t.Fatalf("body returned=%v, running=%d: the body should still hold its node", returned, q.RunningCount())
+	}
+
+	g.sim.RunFor(3 * time.Hour)
+	if !returned {
+		t.Fatal("body never returned")
+	}
+	if q.RunningCount() != 0 || q.FreeNodeCount() != 1 {
+		t.Fatalf("after the body returned: running=%d free=%d, want the node released", q.RunningCount(), q.FreeNodeCount())
+	}
+	if v := trace.CheckComplete(tr.Events()); len(v) != 0 {
+		t.Fatalf("invariant violations: %v", v)
+	}
+}
+
+// TestParallelBatchJobSurvivesSiteCrash: a multi-node batch job goes
+// through the gatekeeper without an agent. When its site crashes under
+// it, the job is requeued through the broker's retry path, completes
+// on the surviving site, and the log passes the drained-grid
+// invariants.
+func TestParallelBatchJobSurvivesSiteCrash(t *testing.T) {
+	g, tr := tracedGrid(t, 2, 2, Config{Deterministic: true, QuarantineThreshold: 1})
+	h, err := g.b.Submit(Request{
+		Job:  &jdl.Job{Executable: "mpi_batch", Flavor: jdl.MPICHP4, NodeNumber: 2},
+		User: "batchuser",
+		CPU:  20 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.sim.RunFor(5 * time.Minute)
+	if h.State() != Running {
+		t.Fatalf("state = %v err = %v, want Running", h.State(), h.Err())
+	}
+	first := h.Site()
+	for _, st := range g.sites {
+		if st.Name() == first {
+			st.Crash()
+		}
+	}
+	g.sim.RunFor(2 * time.Hour)
+	if h.State() != Done {
+		t.Fatalf("state = %v err = %v, want Done after the crash", h.State(), h.Err())
+	}
+	if h.Site() == first || h.Resubmissions() != 1 {
+		t.Fatalf("ran on %s after %d resubmissions, want the other site after 1", h.Site(), h.Resubmissions())
+	}
+	if n := g.b.LeasedCPUs(); n != 0 {
+		t.Fatalf("%d leases leaked", n)
+	}
+	if v := trace.CheckComplete(tr.Events()); len(v) != 0 {
+		t.Fatalf("invariant violations: %v", v)
 	}
 }

@@ -58,18 +58,33 @@ Rank         = other.Preferred;
 	return job
 }
 
-// runMatchPass executes one matchPass as a simulation process.
+// await starts an asynchronous flow in its own event — start must call
+// done exactly once when the flow completes — then drives the clock
+// for up to limit and fails the test if the flow is still in flight.
+func await(t *testing.T, sim *simclock.Sim, limit time.Duration, start func(done func())) {
+	t.Helper()
+	finished := false
+	sim.Post(func() { start(func() { finished = true }) })
+	sim.RunFor(limit)
+	if !finished {
+		t.Fatal("flow did not complete")
+	}
+}
+
+// awaitPass runs one matchPass for h to completion.
+func awaitPass(t *testing.T, sim *simclock.Sim, b *Broker, h *Handle) []candidate {
+	t.Helper()
+	var cands []candidate
+	await(t, sim, time.Hour, func(done func()) {
+		b.matchPass(h, nil, func(c []candidate) { cands = c; done() })
+	})
+	return cands
+}
+
+// runMatchPass runs one matchPass for a fresh handle on job.
 func runMatchPass(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) []candidate {
 	t.Helper()
-	h := &Handle{request: Request{Job: job}}
-	var cands []candidate
-	done := false
-	sim.Go(func() { cands = b.matchPass(h, nil); done = true })
-	sim.RunFor(time.Hour)
-	if !done {
-		t.Fatal("matchmaking pass did not complete")
-	}
-	return cands
+	return awaitPass(t, sim, b, &Handle{request: Request{Job: job}})
 }
 
 // candLine renders a candidate for byte-for-byte comparison.
@@ -144,13 +159,7 @@ func TestStreamTopKBoundsCandidates(t *testing.T) {
 
 	sim, b := equivGrid(Config{Seed: seed, PageSize: 4, TopK: k}, 8)
 	h := &Handle{request: Request{Job: job}}
-	var got []candidate
-	done := false
-	sim.Go(func() { got = b.matchPass(h, nil); done = true })
-	sim.RunFor(time.Hour)
-	if !done {
-		t.Fatal("pass did not complete")
-	}
+	got := awaitPass(t, sim, b, h)
 	if h.peak != k {
 		t.Fatalf("peak held candidates = %d, want TopK = %d", h.peak, k)
 	}

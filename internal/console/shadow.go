@@ -81,7 +81,7 @@ type Shadow struct {
 	mu        sync.Mutex
 	links     map[uint16]*Link
 	eofs      map[uint16]map[Stream]bool
-	attaches  map[uint16]int // per-subjob connection count (tracing)
+	attaches  map[uint16]int // per-subjob count of completed hellos
 	doneOnce  sync.Once
 	done      chan struct{}
 	closed    bool
@@ -271,14 +271,15 @@ func (s *Shadow) admit(conn net.Conn) {
 	if err := link.Attach(conn, hello); err != nil {
 		return
 	}
+	s.mu.Lock()
+	s.attaches[hello.Subjob]++
+	first := s.attaches[hello.Subjob] == 1
+	s.mu.Unlock()
 	if s.cfg.Trace.Enabled() {
-		s.mu.Lock()
-		s.attaches[hello.Subjob]++
 		kind := trace.ConsoleAttached
-		if s.attaches[hello.Subjob] > 1 {
+		if !first {
 			kind = trace.LinkResumed
 		}
-		s.mu.Unlock()
 		s.cfg.Trace.Emit(trace.Event{Kind: kind, Job: s.cfg.TraceJob, N: int(hello.Subjob)})
 	}
 }
@@ -345,6 +346,15 @@ func (s *Shadow) Connected() int {
 		}
 	}
 	return n
+}
+
+// Attached reports how many subjobs have completed a hello with the
+// shadow, whether or not their link is still live: a subjob whose
+// application finished and hung up still counts.
+func (s *Shadow) Attached() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.attaches)
 }
 
 // Close tears down all links and flushes the screen buffers. The

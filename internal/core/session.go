@@ -168,15 +168,26 @@ func StartAuxSession(cfg SessionConfig, naux int, apps []interpose.AuxAppFunc) (
 	// channel to the shadow (in the paper the CA opens its RPC channel
 	// as part of job startup). Without this, fast-mode input typed
 	// right after startup would be silently dropped.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Shadow.Connected() < len(apps) {
+	if err := awaitAttached(s.Shadow, len(apps), 10*time.Second); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// awaitAttached polls until n subjobs have completed a hello with the
+// shadow, or fails after timeout. It counts hellos, not live links: a
+// subjob whose application finishes fast may hang up before its
+// siblings attach, and a live-link count would then never reach n.
+func awaitAttached(sh *console.Shadow, n int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for sh.Attached() < n {
 		if time.Now().After(deadline) {
-			s.Close()
-			return nil, fmt.Errorf("core: agents did not connect")
+			return fmt.Errorf("core: agents did not connect")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return s, nil
+	return nil
 }
 
 // secureTransports wraps the raw dial/accept in GSI handshakes: the

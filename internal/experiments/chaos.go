@@ -107,11 +107,6 @@ type ChaosConfig struct {
 	// exercised against provisioning latencies: a crash landing during
 	// a cold boot must still release its lease.
 	Elastic bool
-	// Engine selects the simulation engine: "" or "callback" for the
-	// run-to-completion event engine (the fast default), "goroutine"
-	// for the cooperative reference engine. Traces are byte-identical
-	// across the two for a fixed seed.
-	Engine string
 }
 
 func (c *ChaosConfig) setDefaults() {
@@ -157,12 +152,7 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosPoint, error) {
 
 func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	p := ChaosPoint{CrashRate: rate, Delta: cfg.Delta, Elastic: cfg.Elastic}
-	eng, err := simclock.ParseEngine(cfg.Engine)
-	if err != nil {
-		return p, err
-	}
 	sim := simclock.NewSim(time.Time{})
-	sim.SetEngine(eng)
 	var tr *trace.Tracer
 	if cfg.Traced {
 		tr = trace.New(sim.Now)
@@ -250,33 +240,20 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	inj.Start(sched)
 
 	// Quarantine sampler: record the high-water mark of simultaneously
-	// quarantined sites, once per simulated minute. The callback branch
-	// is the event-for-event mirror of the goroutine loop: one spawn
-	// event, then one timer event per sampled minute.
+	// quarantined sites, once per simulated minute — one posted event,
+	// then one timer event per sampled minute.
 	start := sim.Now()
-	sample := func() {
+	var tick func()
+	tick = func() {
+		if sim.Since(start) >= cfg.Horizon+2*time.Hour {
+			return
+		}
 		if n := len(b.QuarantinedSites()); n > p.MaxQuarantined {
 			p.MaxQuarantined = n
 		}
+		sim.AfterFunc(time.Minute, tick)
 	}
-	if sim.Callback() {
-		var tick func()
-		tick = func() {
-			if sim.Since(start) >= cfg.Horizon+2*time.Hour {
-				return
-			}
-			sample()
-			sim.AfterFunc(time.Minute, tick)
-		}
-		sim.Post(tick)
-	} else {
-		sim.Go(func() {
-			for sim.Since(start) < cfg.Horizon+2*time.Hour {
-				sample()
-				sim.Sleep(time.Minute)
-			}
-		})
-	}
+	sim.Post(tick)
 
 	// The workload: batch jobs staggered in, then interactive jobs
 	// alternating shared and exclusive access.

@@ -77,11 +77,6 @@ type DataAwareConfig struct {
 	// full run's per-cell parameters, so their numbers match the
 	// committed full report cell-for-cell.
 	Quick bool
-	// Engine selects the simulation engine: "" or "callback" for the
-	// run-to-completion event engine (the fast default), "goroutine"
-	// for the cooperative reference engine. Cell numbers are identical
-	// across the two for a fixed seed.
-	Engine string
 }
 
 func (c *DataAwareConfig) setDefaults() {
@@ -174,12 +169,7 @@ func dataAwarePoint(replicas int, asym bool, idx int64, cfg DataAwareConfig) (Da
 	}
 
 	run := func(aware bool) (done int, meanTurn, meanStage, localPct float64, err error) {
-		eng, err := simclock.ParseEngine(cfg.Engine)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
 		sim := simclock.NewSim(time.Time{})
-		sim.SetEngine(eng)
 		info := infosys.New(sim, 500*time.Millisecond)
 		b := broker.New(broker.Config{
 			Sim: sim, Info: info, Seed: seed,

@@ -98,11 +98,6 @@ type FederationConfig struct {
 	Quick bool
 	// Traced attaches each cell's merged event log to its point.
 	Traced bool
-	// Engine selects the simulation engine: "" or "callback" for the
-	// run-to-completion event engine (the fast default), "goroutine"
-	// for the cooperative reference engine. Merged traces are
-	// byte-identical across the two for a fixed seed.
-	Engine string
 }
 
 func (c *FederationConfig) setDefaults() {
@@ -206,12 +201,7 @@ func newFedMember(sim *simclock.Sim, svc *infosys.Service, fed *federation.Feder
 
 func federationPoint(topo string, k int, rate float64, idx int64, cfg FederationConfig) (FederationPoint, error) {
 	p := FederationPoint{Topology: topo, K: k, FaultRate: rate}
-	eng, err := simclock.ParseEngine(cfg.Engine)
-	if err != nil {
-		return p, err
-	}
 	sim := simclock.NewSim(time.Time{})
-	sim.SetEngine(eng)
 	seed := cfg.Seed + idx
 	fed := federation.New(federation.Config{Sim: sim, K: k})
 

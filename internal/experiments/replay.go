@@ -105,11 +105,6 @@ type ReplayConfig struct {
 	Workers int
 	// Traced records every cell's event log on its own virtual clock.
 	Traced bool
-	// Engine selects the simulation engine: "" or "callback" for the
-	// run-to-completion event engine (the fast default), "goroutine"
-	// for the cooperative reference engine. Both produce byte-identical
-	// traces and point lists for a fixed trace + seed.
-	Engine string
 }
 
 func (c *ReplayConfig) setDefaults() {
@@ -166,12 +161,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	}
 	defer stream.Close()
 
-	eng, err := simclock.ParseEngine(cfg.Engine)
-	if err != nil {
-		return p, err
-	}
 	sim := simclock.NewSim(time.Time{})
-	sim.SetEngine(eng)
 	info := infosys.New(sim, 500*time.Millisecond)
 	var tr *trace.Tracer
 	if cfg.Traced {

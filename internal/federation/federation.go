@@ -382,10 +382,9 @@ func (f *Federation) leastLoaded(origin, exclude *Node) *Node {
 }
 
 // send opens a transfer lease and runs the two-hop exchange (request,
-// then ack) as one simulation process on the shaped peer link. On the
-// callback engine the same exchange is a posted event chaining two
-// timer events — the spawn/sleep/sleep pattern the cooperative process
-// schedules, so merged federation traces stay byte-identical.
+// then ack) on the shaped peer link: a posted event chaining two timer
+// events. The leading post fixes the exchange's place among same-tick
+// events, which the golden trace digests pin.
 func (n *Node) send(s *shipment, dst *Node) {
 	n.out[s.id] = &transferLease{dst: dst}
 	n.tr.Emit(trace.Event{Kind: trace.OffloadSent, Job: s.id, Site: n.name, Detail: dst.name})
@@ -413,21 +412,11 @@ func (n *Node) send(s *shipment, dst *Node) {
 		}
 		delete(n.out, s.id)
 	}
-	if f.sim.Callback() {
-		f.sim.Post(func() {
-			f.sim.AfterFunc(f.cfg.Link.TransferTime(f.cfg.JobBytes), func() {
-				deliver(func() {
-					f.sim.AfterFunc(f.cfg.Link.RTT()/2, ack)
-				})
+	f.sim.Post(func() {
+		f.sim.AfterFunc(f.cfg.Link.TransferTime(f.cfg.JobBytes), func() {
+			deliver(func() {
+				f.sim.AfterFunc(f.cfg.Link.RTT()/2, ack)
 			})
-		})
-		return
-	}
-	f.sim.Go(func() {
-		f.sim.Sleep(f.cfg.Link.TransferTime(f.cfg.JobBytes))
-		deliver(func() {
-			f.sim.Sleep(f.cfg.Link.RTT() / 2)
-			ack()
 		})
 	})
 }
@@ -477,10 +466,9 @@ func (n *Node) forward(s *shipment) {
 	n.send(s, c)
 }
 
-// park queues a shipment at a relay and keeps one retry loop alive.
-// The callback engine runs the same loop as a self-rescheduling timer
-// chain: one posted event to start, one timer event per retry tick —
-// exactly the cooperative process's spawn/sleep pattern.
+// park queues a shipment at a relay and keeps one retry loop alive: a
+// self-rescheduling timer chain, one posted event to start and one
+// timer event per retry tick.
 func (n *Node) park(s *shipment) {
 	n.relayQ = append(n.relayQ, s)
 	if n.relaying {
@@ -500,29 +488,17 @@ func (n *Node) park(s *shipment) {
 		}
 		return len(n.relayQ) > 0
 	}
-	if n.fed.sim.Callback() {
-		var loop func()
-		loop = func() {
-			n.fed.sim.AfterFunc(n.fed.cfg.RelayRetry, func() {
-				if tick() {
-					loop()
-					return
-				}
-				n.relaying = false
-			})
-		}
-		n.fed.sim.Post(loop)
-		return
-	}
-	n.fed.sim.Go(func() {
-		for len(n.relayQ) > 0 {
-			n.fed.sim.Sleep(n.fed.cfg.RelayRetry)
-			if !tick() {
-				break
+	var loop func()
+	loop = func() {
+		n.fed.sim.AfterFunc(n.fed.cfg.RelayRetry, func() {
+			if tick() {
+				loop()
+				return
 			}
-		}
-		n.relaying = false
-	})
+			n.relaying = false
+		})
+	}
+	n.fed.sim.Post(loop)
 }
 
 // CrashBroker implements faultinject.BrokerFaulter: the member's

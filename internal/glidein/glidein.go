@@ -90,10 +90,9 @@ type InteractiveJob struct {
 	PerformanceLoss int
 	// Run is the job body, executed as a simulation process.
 	Run func(ctx *InteractiveContext)
-	// RunCB is the callback-engine job body: it wires its own
+	// RunCB is a run-to-completion job body: it wires its own
 	// continuations and calls done exactly once when the job is
-	// finished. Used instead of Run when the clock runs EngineCallback
-	// and RunCB is set.
+	// finished. Used instead of Run when set.
 	RunCB func(ctx *InteractiveContext, done func())
 }
 
@@ -157,10 +156,9 @@ func LaunchWithOptions(sim *simclock.Sim, st *site.Site, payload *BatchPayload, 
 	return a, h, nil
 }
 
-// LaunchAsync is LaunchWithOptions for the callback engine: the
-// gatekeeper submission runs through SubmitAsync and the agent body is
-// dispatched as a continuation chain, so no goroutine hosts the agent.
-// cont receives the same results the blocking variant returns.
+// LaunchAsync is LaunchWithOptions for callers that cannot block: the
+// gatekeeper submission runs through SubmitAsync and cont receives the
+// same results the blocking variant returns.
 func LaunchAsync(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority int, opts Options, cont func(*Agent, *batch.Handle, error)) {
 	a, req := newAgent(sim, st, payload, priority, opts)
 	st.SubmitAsync(req, site.SubmitOptions{
@@ -175,8 +173,7 @@ func LaunchAsync(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priori
 		})
 }
 
-// newAgent builds the agent and its LRM request. Both body shapes are
-// attached; the LRM picks RunCB only on the callback engine.
+// newAgent builds the agent and its LRM request.
 func newAgent(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority int, opts Options) (*Agent, batch.Request) {
 	if opts.Degree <= 0 {
 		opts.Degree = 1
@@ -204,15 +201,17 @@ func newAgent(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority 
 		Owner:    owner,
 		Nodes:    1,
 		Priority: priority,
-		Run:      a.body(payload, startup),
-		RunCB:    a.bodyCB(payload, startup),
+		RunCB:    a.body(payload, startup),
 	}
 	return a, req
 }
 
-// body is the agent's life on the worker node.
-func (a *Agent) body(payload *BatchPayload, startup time.Duration) func(*batch.ExecCtx) {
-	return func(ctx *batch.ExecCtx) {
+// body is the agent's life on the worker node, as a continuation chain
+// with no goroutine behind it: the batch payload starts after the
+// node's startup cost, and the agent holds the node until released or
+// killed by the LRM.
+func (a *Agent) body(payload *BatchPayload, startup time.Duration) func(*batch.ExecCtx, func()) {
+	return func(ctx *batch.ExecCtx, fin func()) {
 		a.node = ctx.Nodes[0]
 		// The agent configures the node: the batch VM exists for the
 		// agent's whole life, interactive VMs are created on demand.
@@ -220,55 +219,9 @@ func (a *Agent) body(payload *BatchPayload, startup time.Duration) func(*batch.E
 		a.ready.Fire()
 
 		if payload != nil {
-			// Start the batch payload on the batch-vm. An eviction
-			// unblocks the wait but must NOT count as completion —
-			// the broker resubmits unfinished payloads elsewhere.
-			a.sim.Go(func() {
-				a.sim.Sleep(startup)
-				finished := true
-				if payload.Work > 0 {
-					workDone := a.batchVM.Start(payload.Work)
-					w := a.sim.NewTrigger()
-					workDone.OnFire(w.Fire)
-					ctx.Killed.OnFire(w.Fire)
-					w.Wait()
-					finished = workDone.Fired()
-				}
-				if finished && !ctx.Killed.Fired() {
-					a.batchFinished()
-				}
-			})
-		} else {
-			a.batchDone = true
-		}
-
-		// The agent holds the node until released or killed by the
-		// LRM.
-		w := a.sim.NewTrigger()
-		a.released.OnFire(w.Fire)
-		ctx.Killed.OnFire(w.Fire)
-		w.Wait()
-		if ctx.Killed.Fired() && !a.released.Fired() {
-			// Evicted: fire released so waiters (and the broker's
-			// resubmission logic) observe the death.
-			a.opts.Trace.Emit(trace.Event{Kind: trace.AgentDied, Site: a.siteName, Detail: a.id + " evicted"})
-			a.released.Fire()
-		}
-		a.batchVM.Close()
-	}
-}
-
-// bodyCB is body for the callback engine: the same lifecycle with the
-// payload sub-process as a Post + timer chain and both waits as
-// trigger continuations — one event per step, at the same instants the
-// cooperative body's Go/Sleep/Wait schedule theirs.
-func (a *Agent) bodyCB(payload *BatchPayload, startup time.Duration) func(*batch.ExecCtx, func()) {
-	return func(ctx *batch.ExecCtx, fin func()) {
-		a.node = ctx.Nodes[0]
-		a.batchVM = a.node.CPU.NewSlot("batch-vm", interactiveTickets)
-		a.ready.Fire()
-
-		if payload != nil {
+			// Start the batch payload on the batch-vm. An eviction ends
+			// the wait but must NOT count as completion — the broker
+			// resubmits unfinished payloads elsewhere.
 			a.sim.Post(func() {
 				a.sim.AfterFunc(startup, func() {
 					if payload.Work > 0 {
@@ -297,6 +250,8 @@ func (a *Agent) bodyCB(payload *BatchPayload, startup time.Duration) func(*batch
 		ctx.Killed.OnFire(w.Fire)
 		w.WaitThen(func() {
 			if ctx.Killed.Fired() && !a.released.Fired() {
+				// Evicted: fire released so waiters (and the broker's
+				// resubmission logic) observe the death.
 				a.opts.Trace.Emit(trace.Event{Kind: trace.AgentDied, Site: a.siteName, Detail: a.id + " evicted"})
 				a.released.Fire()
 			}
@@ -432,7 +387,7 @@ func (a *Agent) StartInteractive(job InteractiveJob) (*simclock.Trigger, error) 
 		done.Fire()
 		a.maybeLeave()
 	}
-	if a.sim.Callback() && (job.RunCB != nil || job.Run == nil) {
+	if job.RunCB != nil || job.Run == nil {
 		a.sim.Post(func() {
 			if job.RunCB != nil {
 				job.RunCB(&InteractiveContext{Sim: a.sim, Slot: slot, Node: a.node}, cleanup)

@@ -90,11 +90,10 @@ type SubUpdate struct {
 }
 
 // DeltaSource is the subscription surface an incremental matchmaker
-// consumes; *Service and *View both implement it.
+// consumes; *Service and *View both implement it. The caller charges
+// each answer's Cost itself.
 type DeltaSource interface {
 	ShardCount() int
-	DeltaLogDepth() int
-	Subscribe(shard int, since uint64) SubUpdate
 	SubscribeImmediate(shard int, since uint64) SubUpdate
 }
 
@@ -293,24 +292,13 @@ func (s *Service) logDeltaLocked(sh *shard, k DeltaKind, rec SiteRecord) bool {
 	return s.tracer != nil
 }
 
-// ShardCount, DeltaLogDepth, Subscribe and SubscribeImmediate on a View
-// delegate to the service; while the view is partitioned, answers are
-// bounded at the view's own frozen shard snapshots, so a split-brained
-// broker's subscriber is held at its cut point independently of other
-// views.
-
-// DeltaLogDepth reports the underlying service's log depth.
-func (v *View) DeltaLogDepth() int { return v.svc.DeltaLogDepth() }
+// ShardCount and SubscribeImmediate on a View delegate to the service;
+// while the view is partitioned, answers are bounded at the view's own
+// frozen shard snapshots, so a split-brained broker's subscriber is
+// held at its cut point independently of other views.
 
 // ShardCount reports the underlying service's shard count.
 func (v *View) ShardCount() int { return v.svc.ShardCount() }
-
-// Subscribe polls through this view, charging the answer's cost.
-func (v *View) Subscribe(shard int, since uint64) SubUpdate {
-	u := v.SubscribeImmediate(shard, since)
-	v.svc.clock.Sleep(u.Cost)
-	return u
-}
 
 // SubscribeImmediate polls through this view without charging.
 func (v *View) SubscribeImmediate(shard int, since uint64) SubUpdate {

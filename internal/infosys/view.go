@@ -35,14 +35,6 @@ func (v *View) Remove(name string) { v.svc.Remove(name) }
 // QueryLatency returns the underlying service's per-query cost.
 func (v *View) QueryLatency() time.Duration { return v.svc.queryLatency }
 
-// Snapshot returns the view's current whole-grid snapshot, charging
-// the service's query latency; the caller must be a simulation
-// process when the clock is a simulation clock.
-func (v *View) Snapshot() *Snapshot {
-	v.svc.clock.Sleep(v.svc.queryLatency)
-	return v.SnapshotImmediate()
-}
-
 // SnapshotImmediate returns the view's snapshot without charging query
 // latency: the frozen merge while this view is partitioned, the
 // service's current view otherwise (which may itself be frozen by a
@@ -56,13 +48,6 @@ func (v *View) SnapshotImmediate() *Snapshot {
 	}
 	v.mu.Unlock()
 	return v.svc.SnapshotImmediate()
-}
-
-// Discover starts a paged traversal through this view, charging the
-// query latency once.
-func (v *View) Discover(pageSize int) *Cursor {
-	v.svc.clock.Sleep(v.svc.queryLatency)
-	return v.DiscoverImmediate(pageSize)
 }
 
 // DiscoverImmediate starts a paged traversal without the latency

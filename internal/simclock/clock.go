@@ -24,8 +24,8 @@
 // AfterFunc/At/Post callbacks, Go process starts, Sleep wake-ups, and
 // Trigger/Queue releases all draw from one sequence. The guarantee is
 // part of the Clock contract for the simulated implementation; the
-// byte-identical equivalence between the goroutine and callback
-// engines (see Engine) depends on it and pins it under test.
+// golden output digests of every experiment depend on it, and
+// TestSameTimestampFIFO pins it.
 package simclock
 
 import (

@@ -3,7 +3,6 @@ package simclock
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 )
@@ -11,7 +10,7 @@ import (
 // TestSameTimestampFIFO pins the Clock contract that events scheduled
 // for the same virtual instant dispatch in scheduling order, across
 // every scheduling source: AfterFunc, Post, Go, Sleep wake-ups and
-// Trigger releases. The two-engine equivalence proof depends on this.
+// Trigger releases. Deterministic output depends on this.
 func TestSameTimestampFIFO(t *testing.T) {
 	s := NewSim(time.Time{})
 	var got []string
@@ -166,40 +165,5 @@ func TestWaitThenAfterFire(t *testing.T) {
 	tr.WaitThen(func() { ran = true })
 	if !ran {
 		t.Fatal("WaitThen on fired trigger did not run inline")
-	}
-}
-
-// TestEngineKnob pins the Engine accessor plumbing and flag parsing.
-func TestEngineKnob(t *testing.T) {
-	s := NewSim(time.Time{})
-	if s.Engine() != defaultEngine {
-		t.Fatalf("NewSim engine = %v, want the process default %v", s.Engine(), defaultEngine)
-	}
-	if os.Getenv("SIMCLOCK_ENGINE") == "" && defaultEngine != EngineGoroutine {
-		t.Fatal("default engine should be goroutine absent a SIMCLOCK_ENGINE override")
-	}
-	s.SetEngine(EngineCallback)
-	if !s.Callback() {
-		t.Fatal("SetEngine(EngineCallback) not reflected")
-	}
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		err  bool
-	}{
-		{"", EngineCallback, false},
-		{"callback", EngineCallback, false},
-		{"cb", EngineCallback, false},
-		{"goroutine", EngineGoroutine, false},
-		{"go", EngineGoroutine, false},
-		{"bogus", EngineGoroutine, true},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if EngineCallback.String() != "callback" || EngineGoroutine.String() != "goroutine" {
-		t.Error("Engine.String spellings changed")
 	}
 }

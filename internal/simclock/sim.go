@@ -2,7 +2,6 @@ package simclock
 
 import (
 	"fmt"
-	"os"
 	"time"
 )
 
@@ -21,15 +20,18 @@ import (
 // — and every transfer of control flows through a proc's wake/yield
 // channel handshake, whose sends and receives order all state access
 // between the scheduler goroutine and process goroutines (the race
-// detector sees those edges; CI runs the full suite under -race in
-// both engine modes). Calls from outside a run — the driver thread
-// between RunFor chunks — are part of the same single logical thread.
-// What is NOT supported is calling into one Sim from a second OS
-// thread concurrently with a run; no package in this repository does
-// (netsim, gsi, interpose and mpisim run real goroutines but never
-// touch a Sim). The callback engine gets its hot-loop win from
-// exactly this: event dispatch is a plain function call with no
-// lock, no handshake and no scheduler round-trip.
+// detector sees those edges). Calls from outside a run — the driver
+// thread between RunFor chunks — are part of the same single logical
+// thread. What is NOT supported is calling into one Sim from a second
+// OS thread concurrently with a run; no package in this repository
+// does (netsim, gsi, interpose and mpisim run real goroutines but
+// never touch a Sim). The scheduling flows get their hot-loop speed
+// from exactly this: they run as AfterFunc/Post callbacks and
+// Trigger.WaitThen continuations, so event dispatch is a plain
+// function call with no lock, no handshake and no scheduler
+// round-trip. Processes are reserved for code that must block:
+// console and real-time shapes, custom job bodies and blocking
+// launches.
 type Sim struct {
 	now    time.Time
 	events eventHeap
@@ -39,93 +41,31 @@ type Sim struct {
 	cur    *proc  // process currently holding control, nil in plain events
 	firing *event // event currently being dispatched; see simTimer.Stop
 	nprocs int    // live (not yet exited) processes
-	eng    Engine
 }
 
-// Engine selects how components built on Sim execute their logic.
+// Engine named the execution engine when the substrate packages kept
+// a cooperative-process twin of every scheduling flow.
 //
-// The clock itself always supports both styles — Go/Sleep processes and
-// AfterFunc callbacks interleave freely on one heap. The Engine value is
-// a mode switch that substrate packages (site, batch, glidein, broker,
-// federation) consult when they have two implementations of the same
-// flow: a cooperative-process reference version (Go + Sleep, one pooled
-// goroutine per live process, a channel handshake per step) and a
-// run-to-completion version (pure callbacks dispatched inline from the
-// heap, no goroutine, no handshake).
-//
-// The two implementations are event-pattern equivalent by construction:
-// every Go maps to one event at +0, every Sleep(d) to one event at +d
-// scheduled at the same execution point, and every Trigger.Wait to a
-// continuation on the same FIFO waiter list — so seq allocation order,
-// and therefore same-timestamp dispatch order, is identical. Fixed-seed
-// runs produce byte-identical traces under either engine; the
-// equivalence suite in internal/experiments pins this for every
-// committed experiment.
+// Deprecated: there is one engine, run-to-completion callbacks with
+// cooperative processes only where a body must block. Engine,
+// EngineCallback, SetEngine and Callback remain for the benchmark
+// harness and will be removed with its next change.
 type Engine int
 
-const (
-	// EngineGoroutine is the cooperative reference engine: hot flows run
-	// as Go/Sleep processes. Default, and the only mode that supports
-	// arbitrary blocking job bodies.
-	EngineGoroutine Engine = iota
-	// EngineCallback is the run-to-completion engine: hot flows run as
-	// continuation-passing callbacks with no goroutine handshake. Flows
-	// without a callback implementation (console/real-time shapes,
-	// custom blocking job bodies) transparently stay on the cooperative
-	// path; a stray Sleep on the scheduler goroutine still panics.
-	EngineCallback
-)
+// EngineCallback is the run-to-completion engine, the only one.
+//
+// Deprecated: see Engine.
+const EngineCallback Engine = 1
 
-func (e Engine) String() string {
-	if e == EngineCallback {
-		return "callback"
-	}
-	return "goroutine"
-}
+// SetEngine does nothing.
+//
+// Deprecated: see Engine.
+func (s *Sim) SetEngine(Engine) {}
 
-// ParseEngine maps the -engine flag spellings to an Engine. The empty
-// string selects the callback engine (the fast default for experiment
-// drivers).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "callback", "cb":
-		return EngineCallback, nil
-	case "goroutine", "go", "proc":
-		return EngineGoroutine, nil
-	}
-	return EngineGoroutine, fmt.Errorf("simclock: unknown engine %q (want callback or goroutine)", s)
-}
-
-// SetEngine selects the execution engine substrate packages should use.
-// It must be called before any components are driven; switching engines
-// mid-run is not supported.
-func (s *Sim) SetEngine(e Engine) {
-	s.eng = e
-}
-
-// Engine reports the selected execution engine.
-func (s *Sim) Engine() Engine {
-	return s.eng
-}
-
-// Callback reports whether the run-to-completion callback engine is
-// selected.
-func (s *Sim) Callback() bool { return s.Engine() == EngineCallback }
-
-// defaultEngine seeds every NewSim: the goroutine reference engine,
-// unless the SIMCLOCK_ENGINE environment variable names another. The
-// override is CI's engine matrix hook — running the full test suite
-// with every default-constructed Sim in callback mode checks engine
-// equivalence across every suite, not just the tests that set the knob
-// explicitly. Unparseable values fall back to the reference engine.
-var defaultEngine = func() Engine {
-	if v := os.Getenv("SIMCLOCK_ENGINE"); v != "" {
-		if e, err := ParseEngine(v); err == nil {
-			return e
-		}
-	}
-	return EngineGoroutine
-}()
+// Callback reports true: scheduling flows always run as callbacks.
+//
+// Deprecated: see Engine.
+func (s *Sim) Callback() bool { return true }
 
 // NewSim returns a simulation clock starting at start. A zero start is
 // replaced with a fixed, arbitrary epoch so tests are reproducible.
@@ -133,7 +73,7 @@ func NewSim(start time.Time) *Sim {
 	if start.IsZero() {
 		start = time.Date(2006, time.September, 25, 12, 0, 0, 0, time.UTC)
 	}
-	return &Sim{now: start, eng: defaultEngine}
+	return &Sim{now: start}
 }
 
 type event struct {
@@ -163,10 +103,10 @@ func (s *Sim) recycle(e *event) {
 //
 // The seq tiebreak is a contract, not an implementation detail: events
 // scheduled for the same timestamp dispatch in the order they were
-// scheduled (FIFO). Both execution engines rely on this — the two-mode
-// equivalence proof holds only because a callback scheduled at the same
-// (time, position-in-code) as a process wake receives the same seq and
-// therefore the same dispatch slot. See TestSameTimestampFIFO.
+// scheduled (FIFO). Deterministic output relies on this: processes and
+// callbacks interleave on one heap, and a callback scheduled at the
+// same (time, position-in-code) as a process wake receives the same
+// seq and therefore the same dispatch slot. See TestSameTimestampFIFO.
 type eventHeap []*event
 
 func (h eventHeap) less(i, j int) bool {
@@ -270,7 +210,7 @@ func (s *Sim) At(t time.Time, fn func()) Timer {
 
 // Post schedules fn to run in its own event at the current virtual
 // time, after all events already scheduled for this instant (FIFO). It
-// is the callback-engine analogue of Go: one event at +0, no goroutine.
+// is the callback analogue of Go: one event at +0, no goroutine.
 func (s *Sim) Post(fn func()) {
 	s.schedule(0, fn, nil)
 }

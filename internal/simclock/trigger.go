@@ -5,8 +5,7 @@ package simclock
 // waiters. It is the simulated analogue of closing a channel.
 //
 // Waiters come in two shapes sharing one FIFO list: suspended processes
-// (Wait, cooperative engine) and continuations (WaitThen, callback
-// engine). Fire releases them in registration order regardless of
+// (Wait) and continuations (WaitThen). Fire releases them in registration order regardless of
 // shape, each in its own event at the firing instant, so a flow
 // migrated from Wait to WaitThen keeps its exact dispatch slot.
 //
@@ -118,7 +117,7 @@ func (t *Trigger) Wait() {
 	<-p.wake
 }
 
-// WaitThen is the callback-engine analogue of Wait: it runs cont once
+// WaitThen is the callback analogue of Wait: it runs cont once
 // the trigger fires. If the trigger already fired, cont runs inline
 // (matching Wait's immediate return); otherwise cont joins the same
 // FIFO waiter list as suspended processes and is dispatched in its own

@@ -323,31 +323,13 @@ func (s *Site) StartPublishing(is Publisher) {
 // Stats returns the site's two-phase-commit counters.
 func (s *Site) Stats() CommitStats { return s.stats }
 
-// QueryState is the broker's direct query for up-to-date queue
+// QueryStateAsync is the broker's direct query for up-to-date queue
 // information during the selection phase. It costs one network round
-// trip plus a small gatekeeper processing delay, and must run in a
-// simulation process. An unreachable site reports zero capacity; use
-// QueryStateOK to distinguish a probe failure from a full site.
-func (s *Site) QueryState() (free, queued int) {
-	free, queued, _ = s.QueryStateOK()
-	return free, queued
-}
-
-// QueryStateOK is QueryState with an explicit probe outcome: ok is
-// false when the gatekeeper could not be reached (the probe still
-// costs its round trip — the timeout the broker waited out).
-func (s *Site) QueryStateOK() (free, queued int, ok bool) {
-	s.sim.Sleep(s.cfg.Network.RTT() + s.cfg.QueryCost)
-	if !s.Available() {
-		return 0, 0, false
-	}
-	return s.lrms.FreeNodeCount(), s.lrms.QueueLength(), true
-}
-
-// QueryStateAsync is QueryStateOK for the callback engine: the probe's
-// round trip plus gatekeeper processing is charged through one timer
-// event — the same single event a blocking probe's Sleep schedules —
-// and cont receives the result at the same instant.
+// trip plus a small gatekeeper processing delay, charged as one timer
+// event, and cont receives the free node count and queue length at the
+// instant the answer lands; ok is false when the gatekeeper could not
+// be reached (the probe still costs its round trip — the timeout the
+// broker waited out).
 func (s *Site) QueryStateAsync(cont func(free, queued int, ok bool)) {
 	s.sim.AfterFunc(s.cfg.Network.RTT()+s.cfg.QueryCost, func() {
 		if !s.Available() {
@@ -451,12 +433,12 @@ func (s *Site) Submit(req batch.Request, opts SubmitOptions) (*batch.Handle, err
 	return h, nil
 }
 
-// SubmitAsync is Submit for the callback engine: the same cost chain,
-// availability checks and two-phase-commit bookkeeping, with every
-// Sleep replaced by exactly one timer event at the same execution
-// point — so a fixed-seed run interleaves identically with the
-// blocking version and traces stay byte-identical. cont runs once the
-// commit resolves or the attempt fails.
+// SubmitAsync is Submit for callers that cannot block (the broker's
+// scheduling flows): the same cost chain, availability checks and
+// two-phase-commit bookkeeping, with every Sleep replaced by exactly
+// one timer event at the same execution point, so the two forms
+// resolve identically (TestSubmitAsyncMatchesSubmit). cont runs once
+// the commit resolves or the attempt fails.
 func (s *Site) SubmitAsync(req batch.Request, opts SubmitOptions, cont func(*batch.Handle, error)) {
 	c := s.cfg.Costs
 	if stall := s.gkStallUntil.Sub(s.sim.Now()); stall > 0 {

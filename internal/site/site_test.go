@@ -94,21 +94,24 @@ func TestSkipStage(t *testing.T) {
 }
 
 func TestQueryStateCostsRTT(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	s := newSite(sim, 3)
-	start := sim.Now()
-	var took time.Duration
-	var free int
-	sim.Go(func() {
-		free, _ = s.QueryState()
-		took = sim.Since(start)
-	})
-	sim.Run()
-	if free != 3 {
-		t.Fatalf("free = %d", free)
-	}
-	if took < netsim.CampusGrid().RTT() {
-		t.Fatalf("query took %v, less than one RTT", took)
+	for _, cut := range []bool{false, true} {
+		sim := simclock.NewSim(time.Time{})
+		s := newSite(sim, 3)
+		s.SetUnreachable(cut)
+		start := sim.Now()
+		var took time.Duration
+		free, answered := -1, false
+		s.QueryStateAsync(func(f, _ int, ok bool) {
+			free, answered = f, ok
+			took = sim.Since(start)
+		})
+		sim.Run()
+		if answered == cut || (!cut && free != 3) || (cut && free != 0) {
+			t.Fatalf("unreachable=%v: free = %d ok = %v", cut, free, answered)
+		}
+		if took < netsim.CampusGrid().RTT() {
+			t.Fatalf("unreachable=%v: query took %v, less than one RTT", cut, took)
+		}
 	}
 }
 
