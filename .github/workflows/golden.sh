@@ -20,21 +20,21 @@ cd "$out"
 
 strip() { sed '/"go_version":/d' "$1" > "$2" && rm "$1"; }
 
-"$gb" -exp chaos -quick -chaosout raw.json -traceout chaos_trace.jsonl 2>/dev/null
+"$gb" -exp chaos -quick -out raw.json -traceout chaos_trace.jsonl 2>/dev/null
 strip raw.json chaos.json
-"$gb" -exp chaos -quick -delta -chaosout raw.json -traceout chaos_delta_trace.jsonl 2>/dev/null
+"$gb" -exp chaos -quick -delta -out raw.json -traceout chaos_delta_trace.jsonl 2>/dev/null
 strip raw.json chaos_delta.json
-"$gb" -exp federation -quick -fedout raw.json -traceout federation_trace.jsonl 2>/dev/null
+"$gb" -exp federation -quick -out raw.json -traceout federation_trace.jsonl 2>/dev/null
 strip raw.json federation.json
-"$gb" -exp dataaware -quick -dataout raw.json 2>/dev/null
+"$gb" -exp dataaware -quick -out raw.json 2>/dev/null
 strip raw.json dataaware.json
-"$gb" -exp scale -quick -scaleout raw.json 2>/dev/null
+"$gb" -exp scale -quick -out raw.json 2>/dev/null
 sed -i -E '/"(allocs|bytes)_per_pass":/d' raw.json
 strip raw.json scale.json
 "$gb" -exp replay -nowall -trace "$repo/internal/workload/testdata/grid5000.gwf" \
-	-replayout raw.json -traceout replay_gwf_trace.jsonl 2>/dev/null
+	-out raw.json -traceout replay_gwf_trace.jsonl 2>/dev/null
 strip raw.json replay_gwf.json
-"$gb" -exp replay -nowall -synth 10000 -replayout raw.json 2>/dev/null
+"$gb" -exp replay -nowall -synth 10000 -out raw.json 2>/dev/null
 strip raw.json replay_synth.json
 
 "$gb" -exp table1 -runs 20 2>/dev/null > table1.txt

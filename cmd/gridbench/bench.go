@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -96,9 +94,9 @@ func benchSnapshot(n int) *infosys.Snapshot {
 // BENCH_matchmaking.json so successive revisions can track the
 // trajectory of the selection hot path. A non-empty baseline path
 // compares the fresh numbers against that committed report and fails
-// when any shared benchmark slowed down by more than tolerance
-// (fractional: 0.25 = 25%) — the CI regression gate.
-func bench(out, baseline string, tolerance float64) error {
+// when any shared benchmark slowed down beyond the gate's tolerance —
+// the CI regression gate.
+func bench(out, baseline string) error {
 	job, err := benchJob()
 	if err != nil {
 		return err
@@ -182,60 +180,13 @@ func bench(out, baseline string, tolerance float64) error {
 	})
 	add("ASTEval/req+rank", r)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(out, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if baseline != "" {
-		return compareBench(rep.Results, baseline, tolerance)
-	}
-	return nil
+	return gate(rep, baseline, benchRows)
 }
 
-// compareBench loads a committed benchReport and flags regressions:
-// any benchmark present in both runs whose ns/op grew by more than
-// tolerance fails the comparison. New or removed benchmarks are
-// reported but never fail (the gate must not block adding coverage).
-func compareBench(results []benchRecord, baseline string, tolerance float64) error {
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
-	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-	}
-	old := make(map[string]benchRecord, len(base.Results))
-	for _, r := range base.Results {
-		old[r.Name] = r
-	}
-	var regressed []string
-	for _, r := range results {
-		b, ok := old[r.Name]
-		if !ok {
-			fmt.Printf("  %-34s new benchmark, no baseline\n", r.Name)
-			continue
-		}
-		if b.NsPerOp <= 0 {
-			continue
-		}
-		delta := (r.NsPerOp - b.NsPerOp) / b.NsPerOp
-		verdict := "ok"
-		if delta > tolerance {
-			verdict = "REGRESSED"
-			regressed = append(regressed, r.Name)
-		}
-		fmt.Printf("  %-34s %12.0f -> %12.0f ns/op (%+.1f%%) %s\n",
-			r.Name, b.NsPerOp, r.NsPerOp, 100*delta, verdict)
-	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("bench: %d benchmark(s) regressed beyond %.0f%% vs %s: %v",
-			len(regressed), 100*tolerance, baseline, regressed)
-	}
-	fmt.Printf("no regressions beyond %.0f%% vs %s\n", 100*tolerance, baseline)
-	return nil
+// benchRows gates each benchmark's ns/op; lower is better.
+func benchRows(r benchReport) []row {
+	return rowsOf(r.Results, func(b benchRecord) row { return row{b.Name, b.NsPerOp, false} })
 }

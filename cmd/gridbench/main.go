@@ -49,30 +49,20 @@ func realMain() int {
 	scale := flag.Float64("scale", 1.0, "network delay scale for real-time experiments")
 	series := flag.Bool("series", false, "dump raw per-iteration series as CSV")
 	seed := flag.Int64("seed", 2006, "randomization seed")
-	benchOut := flag.String("benchout", "BENCH_matchmaking.json", "output path for -exp bench")
-	chaosOut := flag.String("chaosout", "BENCH_chaos.json", "output path for -exp chaos")
-	fedOut := flag.String("fedout", "BENCH_federation.json", "output path for -exp federation")
-	fedBaseline := flag.String("fedbaseline", "", "committed BENCH_federation.json to compare -exp federation goodput against")
-	dataOut := flag.String("dataout", "BENCH_dataaware.json", "output path for -exp dataaware")
-	dataBaseline := flag.String("databaseline", "", "committed BENCH_dataaware.json to compare -exp dataaware speedups against")
 	quick := flag.Bool("quick", false, "shrink -exp chaos, federation, dataaware and scale for smoke runs")
-	traceOut := flag.String("traceout", "", "enable event tracing in -exp chaos/federation and write the logs as JSONL here")
+	out := flag.String("out", "", "report path for -exp bench, scale, chaos, federation, dataaware or replay (default: the experiment's committed BENCH_*.json)")
+	baseline := flag.String("baseline", "", "committed report to gate -exp bench, scale, federation, dataaware or replay against (fails on a 25% regression)")
+	traceOut := flag.String("traceout", "", "enable event tracing in -exp chaos, federation or replay and write the logs as JSONL here")
 	traceIn := flag.String("tracein", "", "JSONL event log to verify with -exp checktrace")
 	chromeOut := flag.String("chromeout", "", "also convert -tracein to Chrome trace_event JSON at this path")
-	baseline := flag.String("baseline", "", "committed BENCH_matchmaking.json to compare -exp bench results against")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression vs a baseline before failing")
 	shards := flag.Int("shards", 16, "information-service shard count for -exp scale")
 	pageSize := flag.Int("pagesize", 0, "discovery page size for -exp scale (0 = infosys default)")
-	scaleOut := flag.String("scaleout", "BENCH_infosys.json", "output path for -exp scale")
-	scaleBaseline := flag.String("scalebaseline", "", "committed BENCH_infosys.json to compare -exp scale results against")
 	churn := flag.String("churn", "0,64,256,1024", "comma-separated churn-axis publish rates for -exp scale")
 	churnSites := flag.Int("churnsites", 50000, "grid size for the -exp scale churn axis")
 	deltaDepth := flag.Int("deltadepth", 256, "per-shard delta log depth for -exp scale delta cells")
 	deltaChaos := flag.Bool("delta", false, "route -exp chaos matchmaking through the delta-subscription path")
 	tracePath := flag.String("trace", "", "SWF/GWF workload log to drive -exp replay")
 	synth := flag.Int("synth", 0, "generate a deterministic synthetic archive with this many jobs for -exp replay (instead of -trace)")
-	replayOut := flag.String("replayout", "BENCH_replay.json", "output path for -exp replay")
-	replayBaseline := flag.String("replaybaseline", "", "committed BENCH_replay.json to compare -exp replay throughput against")
 	window := flag.String("window", "", "trace window for -exp replay as N:M hours (default whole trace)")
 	speedups := flag.String("speedups", "", "comma-separated arrival speedups for -exp replay (default 1,2,4)")
 	sites := flag.Int("sites", 0, "replay grid sites (0 = 4, or 8 with -synth)")
@@ -82,6 +72,17 @@ func realMain() int {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	if err := checkFileFlags(*exp, *out, *baseline, *traceOut); err != nil {
+		fmt.Fprintf(os.Stderr, "gridbench: %v\n", err)
+		return 2
+	}
+	reportOut := func(name string) string {
+		if *out != "" {
+			return *out
+		}
+		return reportFile[name]
+	}
 
 	if *fetch != "" {
 		path, err := workload.Fetch(*fetch, workload.FetchOptions{})
@@ -144,21 +145,21 @@ func realMain() int {
 	run("fig7", func() error { return pingpong("fig7", netsim.WideArea(), *rounds, *scale, *seed, *series) })
 	run("fig8", func() error { return fig8(*iters, *series) })
 	run("ablations", func() error { return ablations(*scale, *seed) })
-	run("bench", func() error { return bench(*benchOut, *baseline, *tolerance) })
+	run("bench", func() error { return bench(reportOut("bench"), *baseline) })
 	run("scale", func() error {
 		rates, err := parseIntList(*churn)
 		if err != nil {
 			return fmt.Errorf("-churn: %w", err)
 		}
-		return scaleExp(*scaleOut, *scaleBaseline, *shards, *pageSize, *quick, *seed, *tolerance,
+		return scaleExp(reportOut("scale"), *baseline, *shards, *pageSize, *quick, *seed,
 			rates, *churnSites, *deltaDepth)
 	})
-	run("chaos", func() error { return chaos(*chaosOut, *traceOut, *quick, *deltaChaos, *seed) })
+	run("chaos", func() error { return chaos(reportOut("chaos"), *traceOut, *quick, *deltaChaos, *seed) })
 	run("federation", func() error {
-		return federation(*fedOut, *fedBaseline, *traceOut, *quick, *seed, *tolerance)
+		return federation(reportOut("federation"), *baseline, *traceOut, *quick, *seed)
 	})
 	run("dataaware", func() error {
-		return dataaware(*dataOut, *dataBaseline, *quick, *seed, *tolerance)
+		return dataaware(reportOut("dataaware"), *baseline, *quick, *seed)
 	})
 	// replay needs a workload log and checktrace an existing event
 	// log, so both run only when named explicitly (there is nothing to
@@ -167,10 +168,10 @@ func realMain() int {
 		run("replay", func() error {
 			return replay(replayOpts{
 				trace: *tracePath, synth: *synth,
-				out: *replayOut, traceout: *traceOut,
+				out: reportOut("replay"), traceout: *traceOut,
 				window: *window, speedups: *speedups,
 				seed: *seed, sites: *sites, nodes: *nodes,
-				nowall: *nowall, baseline: *replayBaseline, tolerance: *tolerance,
+				nowall: *nowall, baseline: *baseline,
 			})
 		})
 	}

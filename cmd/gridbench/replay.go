@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -38,7 +37,8 @@ type replayReport struct {
 	// WallSeconds and WallJobsPerSec measure real time over the whole
 	// sweep (total submissions / wall seconds). They are the only
 	// machine-dependent fields; -nowall zeroes them so determinism
-	// checks can byte-compare two runs.
+	// checks can byte-compare two runs. A measured sweep always has
+	// WallSeconds > 0.
 	WallSeconds    float64                   `json:"wall_seconds"`
 	WallJobsPerSec float64                   `json:"wall_jobs_per_sec"`
 	Points         []experiments.ReplayPoint `json:"points"`
@@ -46,18 +46,17 @@ type replayReport struct {
 
 // replayOpts carries the -exp replay flag set.
 type replayOpts struct {
-	trace     string  // -trace: SWF/GWF file
-	synth     int     // -synth: generate this many synthetic jobs instead
-	out       string  // -replayout
-	traceout  string  // -traceout
-	window    string  // -window
-	speedups  string  // -speedups
-	seed      int64   // -seed
-	sites     int     // -sites (0 = auto)
-	nodes     int     // -nodes (0 = auto)
-	nowall    bool    // -nowall
-	baseline  string  // -replaybaseline
-	tolerance float64 // -tolerance
+	trace    string // -trace: SWF/GWF file
+	synth    int    // -synth: generate this many synthetic jobs instead
+	out      string // -out
+	traceout string // -traceout
+	window   string // -window
+	speedups string // -speedups
+	seed     int64  // -seed
+	sites    int    // -sites (0 = auto)
+	nodes    int    // -nodes (0 = auto)
+	nowall   bool   // -nowall
+	baseline string // -baseline
 }
 
 // parseWindow parses the -window flag: "N:M" replays hours N..M of
@@ -208,7 +207,7 @@ func replay(o replayOpts) error {
 	total := 0
 	for _, p := range pts {
 		if p.Done+p.Failed+p.Pending != p.Submitted {
-			return fmt.Errorf("replay: speedup %g lost jobs (%d done, %d failed, %d pending, %d submitted)",
+			return fmt.Errorf("speedup %g lost jobs (%d done, %d failed, %d pending, %d submitted)",
 				p.Speedup, p.Done, p.Failed, p.Pending, p.Submitted)
 		}
 		total += p.Submitted
@@ -231,23 +230,19 @@ func replay(o replayOpts) error {
 		fmt.Printf("replayed %d submissions in %v wall (%.0f jobs/s)\n",
 			total, wall.Round(time.Millisecond), rep.WallJobsPerSec)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(o.out, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", o.out)
 	if o.traceout != "" {
-		if err := exportReplayTraces(o.traceout, pts); err != nil {
+		// A cell that left jobs pending gets only the structural checks.
+		err := exportTraces(o.traceout, pts, func(p experiments.ReplayPoint) (trace.Trace, bool) {
+			return p.Trace, p.Pending == 0
+		})
+		if err != nil {
 			return err
 		}
 	}
-	if o.baseline != "" {
-		return compareReplay(rep, o.baseline, o.tolerance)
-	}
-	return nil
+	return gate(rep, o.baseline, replayRows)
 }
 
 func orDefault(v, def int) int {
@@ -257,84 +252,15 @@ func orDefault(v, def int) int {
 	return v
 }
 
-// compareReplay gates replay throughput against a committed
-// BENCH_replay.json, mirroring the matchmaking and infosys gates:
-// per-point simulated-time jobs/sec and sweep-level wall-clock
-// jobs/sec may not drop by more than tolerance (fractional; 0.25 =
-// 25%). Points present on only one side are reported, never failed.
-func compareReplay(rep replayReport, baseline string, tolerance float64) error {
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
+// replayRows gates each speedup's simulated-time jobs/s and, when the
+// sweep's wall time was measured (not under -nowall), its wall-clock
+// jobs/s; higher is better.
+func replayRows(r replayReport) []row {
+	rows := rowsOf(r.Points, func(p experiments.ReplayPoint) row {
+		return row{fmt.Sprintf("sim-throughput/speedup=%g", p.Speedup), p.SimJobsPerSec, true}
+	})
+	if r.WallSeconds > 0 {
+		rows = append(rows, row{"wall-throughput/sweep", r.WallJobsPerSec, true})
 	}
-	var base replayReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("replay: parsing baseline %s: %w", baseline, err)
-	}
-	old := make(map[float64]experiments.ReplayPoint, len(base.Points))
-	for _, p := range base.Points {
-		old[p.Speedup] = p
-	}
-	var regressed []string
-	check := func(name string, baseV, newV float64) {
-		if baseV <= 0 {
-			return
-		}
-		delta := (newV - baseV) / baseV
-		verdict := "ok"
-		if delta < -tolerance {
-			verdict = "REGRESSED"
-			regressed = append(regressed, name)
-		}
-		fmt.Printf("  %-28s %12.1f -> %12.1f jobs/s (%+.1f%%) %s\n", name, baseV, newV, 100*delta, verdict)
-	}
-	for _, p := range rep.Points {
-		b, ok := old[p.Speedup]
-		if !ok {
-			fmt.Printf("  speedup=%g: new point, no baseline\n", p.Speedup)
-			continue
-		}
-		check(fmt.Sprintf("sim-throughput/speedup=%g", p.Speedup), b.SimJobsPerSec, p.SimJobsPerSec)
-	}
-	check("wall-throughput/sweep", base.WallJobsPerSec, rep.WallJobsPerSec)
-	if len(regressed) > 0 {
-		return fmt.Errorf("replay: %d throughput value(s) regressed beyond %.0f%% vs %s: %v",
-			len(regressed), 100*tolerance, baseline, regressed)
-	}
-	fmt.Printf("no throughput regressions beyond %.0f%% vs %s\n", 100*tolerance, baseline)
-	return nil
-}
-
-// exportReplayTraces checks every cell's event log against the trace
-// invariants — the strict drained-grid checks when the cell emptied,
-// the structural subset when jobs were left pending — and writes the
-// logs as one JSONL stream.
-func exportReplayTraces(path string, pts []experiments.ReplayPoint) error {
-	traces := make([]trace.Trace, 0, len(pts))
-	events := 0
-	for _, p := range pts {
-		check := trace.CheckComplete
-		if p.Pending > 0 {
-			check = trace.Check
-		}
-		if v := check(p.Trace.Events); len(v) != 0 {
-			return fmt.Errorf("replay: %s: %d trace invariant violations, first: %s",
-				p.Trace.Label, len(v), v[0])
-		}
-		events += len(p.Trace.Events)
-		traces = append(traces, p.Trace)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteJSONL(f, traces); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cells, %d events, invariants clean)\n", path, len(traces), events)
-	return nil
+	return rows
 }

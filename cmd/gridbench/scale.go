@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -45,9 +43,9 @@ type scaleReport struct {
 // slower than the whole-snapshot pass at 1,000 sites or the delta pass
 // slower than the snapshot pass at 50,000, and — when a committed
 // baseline is supplied — if any shared point's pass latency grew
-// beyond tolerance (the CI regression gate, same 25% default as the
-// matchmaking benchmarks).
-func scaleExp(out, baseline string, shards, pageSize int, quick bool, seed int64, tolerance float64, churn []int, churnSites, deltaDepth int) error {
+// beyond the gate's tolerance (the CI regression gate, the same 25%
+// as the matchmaking benchmarks).
+func scaleExp(out, baseline string, shards, pageSize int, quick bool, seed int64, churn []int, churnSites, deltaDepth int) error {
 	cfg := experiments.ScaleConfig{
 		Shards: shards, PageSize: pageSize, Seed: seed,
 		ChurnPerPass: 64,
@@ -69,17 +67,17 @@ func scaleExp(out, baseline string, shards, pageSize int, quick bool, seed int64
 
 	byKey := make(map[string]experiments.ScalePoint, len(pts))
 	for _, p := range pts {
-		byKey[scaleKey(p)] = p
+		byKey[experiments.ScalePointKey(p)] = p
 	}
 	if paged, ok := byKey["paged/sites=1000"]; ok {
 		if snap, ok := byKey["snapshot/sites=1000"]; ok && paged.PassMicros > snap.PassMicros {
-			return fmt.Errorf("scale: paged pass slower than snapshot pass at 1000 sites (%dµs > %dµs)",
+			return fmt.Errorf("paged pass slower than snapshot pass at 1000 sites (%dµs > %dµs)",
 				paged.PassMicros, snap.PassMicros)
 		}
 	}
 	if delta, ok := byKey[fmt.Sprintf("delta/sites=50000/churn=%d", cfg.ChurnPerPass)]; ok {
 		if snap, ok := byKey["snapshot/sites=50000"]; ok && delta.PassMicros >= snap.PassMicros {
-			return fmt.Errorf("scale: delta pass not faster than snapshot pass at 50000 sites (%dµs >= %dµs)",
+			return fmt.Errorf("delta pass not faster than snapshot pass at 50000 sites (%dµs >= %dµs)",
 				delta.PassMicros, snap.PassMicros)
 		}
 	}
@@ -89,65 +87,15 @@ func scaleExp(out, baseline string, shards, pageSize int, quick bool, seed int64
 		GoVersion:   runtime.Version(),
 		Results:     pts,
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(out, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if baseline != "" {
-		return compareScale(pts, baseline, tolerance)
-	}
-	return nil
+	return gate(rep, baseline, scaleRows)
 }
 
-func scaleKey(p experiments.ScalePoint) string {
-	return experiments.ScalePointKey(p)
-}
-
-// compareScale loads a committed scaleReport and flags regressions:
-// any point present in both runs whose virtual pass latency grew by
-// more than tolerance fails the comparison. New or removed points are
-// reported but never fail (the gate must not block resizing the sweep).
-func compareScale(results []experiments.ScalePoint, baseline string, tolerance float64) error {
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
-	}
-	var base scaleReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("scale: parsing baseline %s: %w", baseline, err)
-	}
-	old := make(map[string]experiments.ScalePoint, len(base.Results))
-	for _, p := range base.Results {
-		old[scaleKey(p)] = p
-	}
-	var regressed []string
-	for _, p := range results {
-		key := scaleKey(p)
-		b, ok := old[key]
-		if !ok {
-			fmt.Printf("  %-24s new point, no baseline\n", key)
-			continue
-		}
-		if b.PassMicros <= 0 {
-			continue
-		}
-		delta := float64(p.PassMicros-b.PassMicros) / float64(b.PassMicros)
-		verdict := "ok"
-		if delta > tolerance {
-			verdict = "REGRESSED"
-			regressed = append(regressed, key)
-		}
-		fmt.Printf("  %-24s %10dµs -> %10dµs (%+.1f%%) %s\n",
-			key, b.PassMicros, p.PassMicros, 100*delta, verdict)
-	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("scale: %d point(s) regressed beyond %.0f%% vs %s: %v",
-			len(regressed), 100*tolerance, baseline, regressed)
-	}
-	fmt.Printf("no regressions beyond %.0f%% vs %s\n", 100*tolerance, baseline)
-	return nil
+// scaleRows gates each point's virtual pass latency; lower is better.
+func scaleRows(r scaleReport) []row {
+	return rowsOf(r.Results, func(p experiments.ScalePoint) row {
+		return row{experiments.ScalePointKey(p), float64(p.PassMicros), false}
+	})
 }

@@ -43,6 +43,8 @@ type LinkConfig struct {
 	// OnDown, when set, is called (on its own goroutine — the link's
 	// lock is held at the detection point) each time a live connection
 	// is lost. Permanent give-up is reported through onFail instead.
+	// Close waits for calls already started, so OnDown must not call
+	// Close.
 	OnDown func()
 }
 
@@ -87,6 +89,8 @@ type Link struct {
 
 	receiver Receiver
 	onFail   func(error)
+	// downs counts OnDown calls in flight; Close waits for them.
+	downs sync.WaitGroup
 }
 
 // NewDialLink creates the agent-side endpoint. dial must produce a
@@ -350,7 +354,11 @@ func (l *Link) markDeadLocked(conn net.Conn) {
 	l.conn.Close()
 	l.conn = nil
 	if l.cfg.OnDown != nil {
-		go l.cfg.OnDown()
+		l.downs.Add(1)
+		go func() {
+			defer l.downs.Done()
+			l.cfg.OnDown()
+		}()
 	}
 	l.startRetryLocked()
 	l.startWatchdogLocked()
@@ -506,7 +514,9 @@ func (l *Link) Connected() bool {
 	return l.conn != nil
 }
 
-// Close tears the link down and removes its spill file.
+// Close tears the link down and removes its spill file. It returns
+// only after every OnDown call already started has returned; with the
+// connection gone, no new one can start.
 func (l *Link) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -520,6 +530,7 @@ func (l *Link) Close() error {
 	}
 	sp := l.spill
 	l.mu.Unlock()
+	l.downs.Wait()
 	if sp != nil {
 		return sp.Close()
 	}

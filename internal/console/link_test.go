@@ -247,6 +247,45 @@ func TestLinkSendAfterClose(t *testing.T) {
 	}
 }
 
+// TestLinkCloseWaitsForOnDown pins Close as a barrier for the OnDown
+// hook: a connection loss detected before Close has its OnDown call
+// finish before Close returns, so nothing the hook records (the
+// shadow's link-down trace event) lands after the link is closed.
+func TestLinkCloseWaitsForOnDown(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	l, err := NewAcceptLink(LinkConfig{Mode: jdl.FastStreaming, OnDown: func() {
+		close(started)
+		<-release
+	}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, peer := net.Pipe()
+	go func() {
+		// Take the link's hello, then drop the connection.
+		_, _ = ReadMessage(peer)
+		peer.Close()
+	}()
+	if err := l.Attach(conn, &Message{Type: MsgHello}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	closed := make(chan struct{})
+	go func() {
+		l.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an OnDown call was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+}
+
 func TestReliableLinkRequiresSpillPath(t *testing.T) {
 	if _, err := NewAcceptLink(LinkConfig{Mode: jdl.ReliableStreaming}, nil, nil); err == nil {
 		t.Fatal("reliable link without spill path accepted")

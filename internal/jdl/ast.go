@@ -25,12 +25,12 @@ func (s String) JDL() string {
 // Number is a JDL numeric literal.
 type Number float64
 
-// JDL renders the number, without a trailing ".0" for integers.
+// JDL renders the number in plain decimal notation, without a
+// trailing ".0" for integers: the lexer reads no exponents, so 1e19
+// prints as 10000000000000000000. The digits are the shortest that
+// parse back to the same float64.
 func (n Number) JDL() string {
-	if n == Number(int64(n)) {
-		return strconv.FormatInt(int64(n), 10)
-	}
-	return strconv.FormatFloat(float64(n), 'g', -1, 64)
+	return strconv.FormatFloat(float64(n), 'f', -1, 64)
 }
 
 // Bool is a JDL boolean literal.
@@ -193,13 +193,16 @@ func precedence(op string) int {
 
 func (b Binary) String() string {
 	p := precedence(b.Op)
-	// The right operand needs parentheses at equal precedence for the
-	// non-commutative operators (a - (b - c), a / (b / c)).
-	rightMin := p
-	if b.Op == "-" || b.Op == "/" {
-		rightMin = p + 1
+	// Operators parse left-associatively, so a right operand at equal
+	// precedence keeps its parentheses: a - (b - c), and a + (b + c),
+	// whose float rounding differs from (a + b) + c. Comparisons do not
+	// chain, so a comparison operand needs them on the left too:
+	// (a < b) == c.
+	leftMin, rightMin := p, p+1
+	if p == precedence("==") {
+		leftMin = p + 1
 	}
-	return parenthesize(b.L, p) + " " + b.Op + " " + parenthesize(b.R, rightMin)
+	return parenthesize(b.L, leftMin) + " " + b.Op + " " + parenthesize(b.R, rightMin)
 }
 
 // parenthesize renders n, wrapping binary children that bind more

@@ -1,6 +1,7 @@
 package jdl
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -34,6 +35,35 @@ func flatten(attrs map[string]any) (*sliceResolver, []any) {
 	return r, vals
 }
 
+// interpreterCases are expressions both evaluation paths must agree
+// on; they also seed FuzzCompiledMatchesAST.
+var interpreterCases = []struct {
+	expr string
+	num  bool // evaluate as Rank (number) instead of Requirements (bool)
+}{
+	{expr: `other.Arch == "i686"`},
+	{expr: `other.arch == "I686"`}, // case-insensitive names and strings
+	{expr: `other.Arch == "x86_64"`},
+	{expr: `other.MemoryMB >= 256 && other.OS == "linux"`},
+	{expr: `other.MemoryMB < 256 || other.HasMPI`},
+	{expr: `!other.HasMPI`},
+	{expr: `!(other.FreeCPUs > 0 && other.QueuedJobs == 0)`},
+	{expr: `other.FreeCPUs * 2 >= other.TotalCPUs`},
+	{expr: `other.Load + 0.5 == 2`},
+	{expr: `other.Site + "-cluster" == "uab-cluster"`}, // string concat stays generic
+	{expr: `other.Missing == 1`},                       // undefined attribute -> error
+	{expr: `other.Arch > 5`},                           // type mismatch -> error
+	{expr: `other.HasMPI && other.Load`},               // non-boolean operand -> error
+	{expr: `other.FreeCPUs - other.QueuedJobs / 2`, num: true},
+	{expr: `(other.TotalCPUs - other.FreeCPUs) * other.Load`, num: true},
+	{expr: `other.FreeCPUs / (other.TotalCPUs - 4)`, num: true}, // division by zero -> error
+	{expr: `other.MemoryMB / 0.5`, num: true},
+	{expr: `other.Load + other.FreeCPUs`, num: true}, // "+" on the generic path
+	{expr: `other.HasMPI`, num: true},                // bool promotes to 1/0
+	{expr: `other.Missing * 3`, num: true},           // undefined attribute -> error
+	{expr: `other.Site * 2`, num: true},              // type mismatch -> error
+}
+
 // TestCompiledMatchesInterpreter runs a table of expressions through
 // both evaluation paths and requires identical results — including
 // identical error-ness — so the compiled fast path can never diverge
@@ -44,35 +74,8 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		"FreeCPUs": 3, "TotalCPUs": 4, "QueuedJobs": 2,
 		"HasMPI": true, "Load": 1.5, "Site": "uab",
 	}
-	cases := []struct {
-		expr string
-		num  bool // evaluate as Rank (number) instead of Requirements (bool)
-	}{
-		{expr: `other.Arch == "i686"`},
-		{expr: `other.arch == "I686"`}, // case-insensitive names and strings
-		{expr: `other.Arch == "x86_64"`},
-		{expr: `other.MemoryMB >= 256 && other.OS == "linux"`},
-		{expr: `other.MemoryMB < 256 || other.HasMPI`},
-		{expr: `!other.HasMPI`},
-		{expr: `!(other.FreeCPUs > 0 && other.QueuedJobs == 0)`},
-		{expr: `other.FreeCPUs * 2 >= other.TotalCPUs`},
-		{expr: `other.Load + 0.5 == 2`},
-		{expr: `other.Site + "-cluster" == "uab-cluster"`}, // string concat stays generic
-		{expr: `other.Missing == 1`},                       // undefined attribute -> error
-		{expr: `other.Arch > 5`},                           // type mismatch -> error
-		{expr: `other.HasMPI && other.Load`},               // non-boolean operand -> error
-		{expr: `other.FreeCPUs - other.QueuedJobs / 2`, num: true},
-		{expr: `(other.TotalCPUs - other.FreeCPUs) * other.Load`, num: true},
-		{expr: `other.FreeCPUs / (other.TotalCPUs - 4)`, num: true}, // division by zero -> error
-		{expr: `other.MemoryMB / 0.5`, num: true},
-		{expr: `other.Load + other.FreeCPUs`, num: true}, // "+" on the generic path
-		{expr: `other.HasMPI`, num: true},                // bool promotes to 1/0
-		{expr: `other.Missing * 3`, num: true},           // undefined attribute -> error
-		{expr: `other.Site * 2`, num: true},              // type mismatch -> error
-	}
-
 	r, vals := flatten(attrs)
-	for _, c := range cases {
+	for _, c := range interpreterCases {
 		field := "Requirements"
 		if c.num {
 			field = "Rank"
@@ -99,6 +102,76 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzAttrNames are the attributes FuzzCompiledMatchesAST fills; the
+// seed expressions reference them.
+var fuzzAttrNames = []string{"Arch", "OS", "MemoryMB", "FreeCPUs", "TotalCPUs", "QueuedJobs", "HasMPI", "Load", "Site"}
+
+// fuzzAttrs builds the attribute set for FuzzCompiledMatchesAST: three
+// bits of layout per attribute pick its Go type (and so whether an
+// expression meets a type mismatch or a missing value), drawn from
+// the fuzzed s, x, n and b.
+func fuzzAttrs(layout uint64, s string, x float64, n int64, b bool) map[string]any {
+	kinds := []any{s, x, int(n), b, nil, float32(x), uint64(n), int64(n)}
+	attrs := make(map[string]any, len(fuzzAttrNames))
+	for i, name := range fuzzAttrNames {
+		attrs[name] = kinds[(layout>>(3*i))&7]
+	}
+	return attrs
+}
+
+// parseExprNode parses one expression without the constant folding
+// Parse applies to attribute values, so literal-only trees reach both
+// evaluators too.
+func parseExprNode(src string) (ExprNode, error) {
+	p := &parser{lex: newLexer(src)}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	n, err := p.orExpr()
+	if err != nil {
+		return nil, err
+	}
+	if p.tok.kind != tokEOF {
+		return nil, p.errf("trailing %v %q", p.tok.kind, p.tok.text)
+	}
+	return n, nil
+}
+
+// FuzzCompiledMatchesAST is the differential check behind the compiled
+// fast path: for any expression and attribute vector, Compiled's
+// EvalBool and EvalNumber give the interpreter's value and the same
+// error-ness.
+func FuzzCompiledMatchesAST(f *testing.F) {
+	// The layout of TestCompiledMatchesInterpreter's attributes: string,
+	// string, int, int, int, int, bool, float64, string.
+	const tableLayout = 0 | 0<<3 | 2<<6 | 2<<9 | 2<<12 | 2<<15 | 3<<18 | 1<<21 | 0<<24
+	for _, c := range interpreterCases {
+		f.Add(c.expr, uint64(tableLayout), "i686", 1.5, int64(4), true)
+	}
+	f.Fuzz(func(t *testing.T, src string, layout uint64, s string, x float64, n int64, b bool) {
+		node, err := parseExprNode(src)
+		if err != nil {
+			return
+		}
+		attrs := fuzzAttrs(layout, s, x, n, b)
+		r, vals := flatten(attrs)
+		e := Expr{Node: node}
+		c := Compile(&e, r)
+
+		wantB, wantErr := e.EvalBool(attrs)
+		gotB, gotErr := c.EvalBool(vals)
+		if (wantErr != nil) != (gotErr != nil) || (wantErr == nil && gotB != wantB) {
+			t.Fatalf("EvalBool(%s) over %v: interpreter %v, %v; compiled %v, %v", src, attrs, wantB, wantErr, gotB, gotErr)
+		}
+		wantN, wantErr := e.EvalNumber(attrs)
+		gotN, gotErr := c.EvalNumber(vals)
+		same := gotN == wantN || (math.IsNaN(gotN) && math.IsNaN(wantN))
+		if (wantErr != nil) != (gotErr != nil) || (wantErr == nil && !same) {
+			t.Fatalf("EvalNumber(%s) over %v: interpreter %v, %v; compiled %v, %v", src, attrs, wantN, wantErr, gotN, gotErr)
+		}
+	})
 }
 
 func TestCompileNilExpression(t *testing.T) {

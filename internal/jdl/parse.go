@@ -2,6 +2,7 @@ package jdl
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,7 +162,11 @@ func (p *parser) value() (Value, error) {
 	if v, err := node.Eval(map[string]any{}); err == nil {
 		switch x := v.(type) {
 		case float64:
-			return Number(x), nil
+			// An overflowed result has no literal form; it stays an
+			// expression.
+			if !math.IsInf(x, 0) && !math.IsNaN(x) {
+				return Number(x), nil
+			}
 		case bool:
 			return Bool(x), nil
 		case string:
